@@ -8,32 +8,34 @@
     zakspace diffract run|verify config.json
     zakspace suite all
 
-Shared flags: --seed (all randomness), --jobs (worker bound; never changes
-output bytes), --tol (override a command's pass tolerance), --out (write
-the artifact to a file instead of stdout).  Relative input paths are also
-tried under $ZAKSPACE_DATA.  Exit codes: 0 success, 1 verification
-failure, 2 malformed input or schema violation.
+Shared flags: --seed (all randomness), --jobs (worker threads of the
+band solves in `bands run|check`; never changes output bytes), --tol
+(replaces the tolerance of every check in a verify report; finite and
+positive), --out (write the artifact to a file instead of stdout).
+Relative input paths are also tried under $ZAKSPACE_DATA.  Exit codes: 0
+success, 1 verification failure, 2 malformed input or schema violation,
+with one JSON line on stderr.
+
+The verify commands (`zak verify`, `poisson check`, `bands check`,
+`diffract verify`) run the named checks of zakspace.suite on the input
+document and print {checks, all_pass}.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import bloch, euclid, lattice, radiation, reciprocal
+from . import bloch, euclid, lattice, radiation, suite
 from .duals import irreps
-from .zak import (
-    intertwining_residual,
-    verify_roundtrip,
-    verify_unitarity,
-    zak as zak_transform,
-    zak_inverse,
-)
+from .zak import VerificationReport, verify_unitarity, zak as zak_transform, zak_inverse
 from .errors import ConfigError, ZakspaceError
 from .fixtures import group_by_name, random_complex
 from .groups import FiniteGroup
@@ -46,7 +48,6 @@ from .serialize import (
     zak_to_bytes,
     zak_to_dict,
 )
-from .suite import run_suite
 from .weil import weil_structure
 
 
@@ -118,8 +119,21 @@ def _group_from_config(doc) -> FiniteGroup:
     return group_from_dict(doc)
 
 
-def _report_exit(checks: list[dict]) -> int:
-    return 0 if all(c["pass"] for c in checks) else 1
+def _verdict(reports: list[VerificationReport], args) -> int:
+    """Emit {checks, all_pass}, with --tol as every check's tolerance; exit 0 or 1."""
+    if args.tol is not None:
+        reports = [dataclasses.replace(r, tolerance=args.tol) for r in reports]
+    all_pass = all(r.passed for r in reports)
+    _emit({"checks": [r.as_dict() for r in reports], "all_pass": all_pass}, args.out)
+    return 0 if all_pass else 1
+
+
+def _lattice_samples(doc) -> np.ndarray:
+    if "cells" not in doc:
+        raise ConfigError("lattice mode needs 'cells'")
+    samples = decode_vector(doc["samples"])
+    shape = doc.get("sample_shape")
+    return samples.reshape(shape) if shape else samples
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +166,7 @@ def _cmd_zak_forward(args) -> int:
     doc = _load_config(args.config, "zak forward")
     binary = args.out is not None and args.out.endswith((".bin", ".zak"))
     if "samples" in doc:
-        if "cells" not in doc:
-            raise ConfigError("lattice mode needs 'cells'")
-        samples = decode_vector(doc["samples"])
-        shape = doc.get("sample_shape")
-        if shape:
-            samples = samples.reshape(shape)
-        grid = lattice.classic_zak(samples, doc["cells"])
+        grid = lattice.classic_zak(_lattice_samples(doc), doc["cells"])
         payload = lattice.grid_to_bytes(grid) if binary else lattice.grid_to_dict(grid)
         _emit(payload, args.out, binary=binary)
         return 0
@@ -189,59 +197,30 @@ def _cmd_zak_inverse(args) -> int:
 def _cmd_zak_verify(args) -> int:
     doc = _load_config(args.config, "zak verify")
     if "samples" in doc:
-        return _lattice_verify(doc, args)
+        samples = _lattice_samples(doc)
+        grid = lattice.classic_zak(samples, doc["cells"])
+        shifts = [(x0, (0,) * grid.ndim_space) for x0 in np.ndindex(*grid.cells)]
+        return _verdict([
+            suite.check_classic_zak_fft("classic_zak_fft_vs_direct", grid),
+            suite.check_classic_zak_roundtrip("classic_zak_roundtrip", grid),
+            verify_unitarity(grid, samples.ravel()),
+            suite.check_classic_zak_quasiperiodicity("classic_zak_quasiperiodicity", grid, shifts),
+        ], args)
+    if "action" not in doc:
+        raise ConfigError("finite mode needs 'action'")
     action = action_from_dict(doc["action"])
     dual = irreps(action.group, seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    fs = []
-    if "f" in doc:
-        fs.append(decode_vector(doc["f"]))
-    for _ in range(int(doc.get("n_random", 5))):
-        fs.append(random_complex(rng, action.npoints))
-    checks = []
+    fs = [decode_vector(doc["f"])] if "f" in doc else []
+    fs += [random_complex(rng, action.npoints) for _ in range(int(doc.get("n_random", 5)))]
+    if not fs:
+        raise ConfigError("zak verify needs 'f' or a positive 'n_random'")
+    reports = []
     for i, f in enumerate(fs):
-        coeffs = zak_transform(action, f, dual)
-        for rep in (verify_roundtrip(action, f, dual), verify_unitarity(coeffs, f)):
-            entry = rep.as_dict()
-            entry["check"] = f"{entry['check']}[f{i}]"
-            if args.tol is not None:
-                entry["tolerance"] = args.tol
-                entry["pass"] = entry["residual"] < args.tol
-            checks.append(entry)
-    worst = intertwining_residual(action, fs[0], dual)
-    checks.append(
-        {"check": "zak_intertwining", "residual": worst, "tolerance": args.tol or 1e-12,
-         "pass": worst < (args.tol or 1e-12)}
-    )
-    _emit({"checks": checks, "all_pass": all(c["pass"] for c in checks)}, args.out)
-    return _report_exit(checks)
-
-
-def _lattice_verify(doc, args) -> int:
-    samples = decode_vector(doc["samples"])
-    shape = doc.get("sample_shape")
-    if shape:
-        samples = samples.reshape(shape)
-    cells = doc["cells"]
-    grid = lattice.classic_zak(samples, cells)
-    tol = args.tol or 1e-10
-    fft_resid = float(np.max(np.abs(grid.values - lattice.classic_zak_direct(samples, cells))))
-    rt_resid = lattice.roundtrip_residual(samples, cells)
-    unit = verify_unitarity(grid, samples.ravel()).as_dict()
-    quasi = float(
-        max(
-            lattice.quasiperiodicity_residual(grid, x0, (0,) * grid.ndim_space)
-            for x0 in np.ndindex(*grid.cells)
-        )
-    )
-    checks = [
-        {"check": "classic_zak_fft_vs_direct", "residual": fft_resid, "tolerance": tol, "pass": fft_resid < tol},
-        {"check": "classic_zak_roundtrip", "residual": rt_resid, "tolerance": tol, "pass": rt_resid < tol},
-        unit,
-        {"check": "classic_zak_quasiperiodicity", "residual": quasi, "tolerance": tol, "pass": quasi < tol},
-    ]
-    _emit({"checks": checks, "all_pass": all(c["pass"] for c in checks)}, args.out)
-    return _report_exit(checks)
+        reports.append(suite.check_zak_roundtrip(f"zak_roundtrip[f{i}]", action, dual, [f]))
+        reports.append(suite.check_zak_unitarity(f"zak_unitarity[f{i}]", action, dual, [f]))
+    reports.append(suite.check_zak_intertwining("zak_intertwining", action, dual, fs[0]))
+    return _verdict(reports, args)
 
 
 def _cmd_poisson_check(args) -> int:
@@ -253,20 +232,9 @@ def _cmd_poisson_check(args) -> int:
     mode = doc.get("mode", "abelian" if group.is_abelian() else "compact")
     rng = np.random.default_rng(args.seed)
     dual = irreps(group, seed=args.seed)
-    tol = args.tol or 1e-12
-    worst = 0.0
-    for _ in range(int(doc.get("n_random", 50))):
-        f = random_complex(rng, group.order)
-        if mode == "abelian":
-            _, _, resid = reciprocal.poisson_abelian_check(f, group, sub, dual)
-        else:
-            _, _, resid = reciprocal.poisson_compact_check(f, group, sub, dual)
-        worst = max(worst, resid)
-    checks = [
-        {"check": f"poisson_{mode}", "residual": worst, "tolerance": tol, "pass": worst < tol}
-    ]
-    _emit({"checks": checks, "all_pass": checks[0]["pass"]}, args.out)
-    return _report_exit(checks)
+    fs = [random_complex(rng, group.order) for _ in range(int(doc.get("n_random", 50)))]
+    check = suite.check_poisson_abelian if mode == "abelian" else suite.check_poisson_compact
+    return _verdict([check(f"poisson_{mode}", group, sub, fs, dual)], args)
 
 
 def _band_model(doc, jobs: int = 1) -> bloch.BandStructure:
@@ -294,17 +262,10 @@ def _cmd_bands_run(args) -> int:
 def _cmd_bands_check(args) -> int:
     doc = _load_config(args.config, "bands check")
     bs = _band_model(doc, jobs=args.jobs)
-    tol = args.tol or 1e-9
-    union = bloch.band_union_residual(bs)
-    even = max(
-        float(np.max(np.abs(bs.bands[j] - bs.bands[-j]))) for j in range(1, bs.periods)
-    ) if bs.periods > 1 else 0.0
-    checks = [
-        {"check": "band_union_vs_dense", "residual": union, "tolerance": tol, "pass": union < tol},
-        {"check": "bands_even_in_k", "residual": even, "tolerance": 1e-10, "pass": even < 1e-10},
-    ]
-    _emit({"checks": checks, "all_pass": all(c["pass"] for c in checks)}, args.out)
-    return _report_exit(checks)
+    return _verdict([
+        suite.check_band_union("band_union_vs_dense", bs),
+        suite.check_bands_even("bands_even_in_k", bs),
+    ], args)
 
 
 def _euclid_spec(doc) -> euclid.IsometryGroupSpec:
@@ -349,6 +310,7 @@ def _cmd_euclid_certify(args) -> int:
 
 
 def _diffract_setup(doc):
+    """(elements, dual, k, n, setups), one setup per normalized s0."""
     for key in ("group", "points", "density", "k", "n", "omega", "c_light", "s0_list"):
         if key not in doc:
             raise ConfigError(f"diffract config needs '{key}'")
@@ -364,23 +326,26 @@ def _diffract_setup(doc):
     density = np.asarray(doc["density"], dtype=float)
     k = np.asarray(doc["k"], dtype=float)
     n = decode_vector(doc["n"])
-    return elements, dual, points, weights, density, k, n, float(doc["omega"]), float(doc["c_light"]), doc["s0_list"]
+    omega, c_light = float(doc["omega"]), float(doc["c_light"])
+    setups = []
+    for s0 in doc["s0_list"]:
+        s0 = np.asarray(s0, dtype=float)
+        s0 = s0 / np.linalg.norm(s0)
+        setups.append(radiation.ScatteringSetup(points, weights, density, omega, c_light, s0))
+    return elements, dual, k, n, setups
 
 
 def _cmd_diffract_run(args) -> int:
     doc = _load_config(args.config, "diffract run")
-    elements, dual, points, weights, density, k, n, omega, c_light, s0_list = _diffract_setup(doc)
+    elements, dual, k, n, setups = _diffract_setup(doc)
     labels = dual.labels
     header = "s0_x,s0_y,s0_z,intensity," + ",".join(f"intensity_{lab}" for lab in labels)
     lines = [header]
-    for s0 in s0_list:
-        s0 = np.asarray(s0, dtype=float)
-        s0 = s0 / np.linalg.norm(s0)
-        setup = radiation.ScatteringSetup(points, weights, density, omega, c_light, s0)
+    for setup in setups:
         report = radiation.symmetry_projected_transform(elements, dual, k, n, setup)
         total = float(np.sum(np.abs(report.combined) ** 2))
         channels = [float(np.sum(np.abs(report.per_irrep[lab]) ** 2)) for lab in labels]
-        row = [f"{v:.12g}" for v in (*s0, total, *channels)]
+        row = [f"{v:.12g}" for v in (*setup.s0, total, *channels)]
         lines.append(",".join(row))
     _emit("\n".join(lines), args.out)
     return 0
@@ -388,24 +353,12 @@ def _cmd_diffract_run(args) -> int:
 
 def _cmd_diffract_verify(args) -> int:
     doc = _load_config(args.config, "diffract verify")
-    elements, dual, points, weights, density, k, n, omega, c_light, s0_list = _diffract_setup(doc)
-    tol = args.tol or 1e-9
-    worst = 0.0
-    for s0 in s0_list:
-        s0 = np.asarray(s0, dtype=float)
-        s0 = s0 / np.linalg.norm(s0)
-        setup = radiation.ScatteringSetup(points, weights, density, omega, c_light, s0)
-        report = radiation.symmetry_projected_transform(elements, dual, k, n, setup)
-        worst = max(worst, report.residual)
-    checks = [
-        {"check": "radiation_recovery", "residual": worst, "tolerance": tol, "pass": worst < tol}
-    ]
-    _emit({"checks": checks, "all_pass": checks[0]["pass"]}, args.out)
-    return _report_exit(checks)
+    elements, dual, k, n, setups = _diffract_setup(doc)
+    return _verdict([suite.check_radiation_recovery("radiation_recovery", elements, dual, k, n, setups)], args)
 
 
 def _cmd_suite_all(args) -> int:
-    report = run_suite(seed=args.seed, jobs=args.jobs)
+    report = suite.run_suite(seed=args.seed, jobs=args.jobs)
     _emit(report, args.out)
     return 0 if report["all_pass"] else 1
 
@@ -416,8 +369,8 @@ def _cmd_suite_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--jobs", type=int, default=1, help="worker bound (outputs unchanged)")
-    common.add_argument("--tol", type=float, default=None, help="override pass tolerance")
+    common.add_argument("--jobs", type=int, default=1, help="worker threads of band solves (outputs unchanged)")
+    common.add_argument("--tol", type=float, default=None, help="tolerance of every check (finite, > 0)")
     common.add_argument("--out", type=str, default=None, help="write output to this path")
 
     parser = argparse.ArgumentParser(prog="zakspace", description=__doc__)
@@ -462,12 +415,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
         return args.func(args)
-    except ConfigError as err:
-        sys.stderr.write(f"{err}\n")
-        return 2
     except ZakspaceError as err:
-        sys.stderr.write(json.dumps({"error": type(err).__name__, "detail": str(err)}) + "\n")
+        text = str(err)
+        if not (isinstance(err, ConfigError) and text.startswith("{")):
+            text = json.dumps({"error": type(err).__name__, "detail": text})
+        sys.stderr.write(text + "\n")
         return 2
 
 

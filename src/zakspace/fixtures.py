@@ -1,15 +1,20 @@
-"""Bundled groups and actions used by the test suite and the CLI battery.
+"""Bundled actions and models for `suite all`, the acceptance tests and the CLI.
 
 Each action constructor returns a fresh validated GroupAction; names are
-stable and appear in verification reports.
+stable and appear in verification reports.  The D3 invariant operator, the
+C4 scattering model and the certificate specs are built here once, so the
+suite and the acceptance battery check the same objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import euclid
 from .actions import GroupAction, make_action, translation_action
-from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
+from .errors import ConfigError
+from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product, symmetric_group
+from .radiation import ScatteringSetup
 
 
 def z2_swap() -> GroupAction:
@@ -96,33 +101,27 @@ BUNDLED_ACTIONS = {
 }
 
 
-BUNDLED_GROUPS = {
-    "cyclic:2": lambda: cyclic_group(2),
-    "cyclic:4": lambda: cyclic_group(4),
-    "cyclic:6": lambda: cyclic_group(6),
-    "dihedral:3": lambda: dihedral_group(3),
-    "dihedral:4": lambda: dihedral_group(4),
-    "symmetric:3": lambda: symmetric_group(3),
-}
+_CATALOG = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
 
 
 def group_by_name(name: str) -> FiniteGroup:
-    """Catalog lookup: cyclic:N, dihedral:N, symmetric:N, product:AxB."""
+    """Catalog lookup: cyclic:N, dihedral:N, symmetric:N, product:AxB.
+
+    A name outside the catalog, or an order the catalog rejects, raises
+    ConfigError.
+    """
     kind, _, arg = name.partition(":")
-    if kind == "cyclic":
-        return cyclic_group(int(arg))
-    if kind == "dihedral":
-        return dihedral_group(int(arg))
-    if kind == "symmetric":
-        return symmetric_group(int(arg))
     if kind == "product":
         left, sep, right = arg.partition("x")
         if not sep:
-            raise ValueError(f"product name needs AxB, got {name!r}")
-        from .groups import direct_product
-
+            raise ConfigError(f"product name needs AxB, got {name!r}")
         return direct_product(group_by_name(left), group_by_name(right))
-    raise ValueError(f"unknown group name {name!r}")
+    if kind not in _CATALOG:
+        raise ConfigError(f"unknown group name {name!r}")
+    try:
+        return _CATALOG[kind](int(arg))
+    except ValueError as err:
+        raise ConfigError(f"bad group name {name!r}: {err}") from err
 
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -136,3 +135,70 @@ def s3_transposition_subgroup(group: FiniteGroup) -> list[int]:
         raise ValueError("expected a group built by symmetric_group")
     swap = tuple([1, 0] + list(range(2, len(perms[0]))))
     return [group.identity, perms.index(swap)]
+
+
+def d3_invariant_operator(rng: np.random.Generator) -> tuple[GroupAction, np.ndarray]:
+    """d3_flags with a random Hermitian operator averaged over the group."""
+    action = d3_flags()
+    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    raw = raw + raw.conj().T
+    h = sum(
+        action.permutation_matrix(g) @ raw @ action.permutation_matrix(g).T
+        for g in action.group.elements()
+    )
+    return action, h
+
+
+def c4_scatterer(rng: np.random.Generator) -> tuple[list, np.ndarray, np.ndarray, list]:
+    """The C4 radiation model: (elements, k, n, setups).
+
+    The quarter turns about the z axis act on two square rings of density
+    samples; (k, n) is a random transverse plane wave, and there is one
+    setup per outgoing direction on a 16-point golden spiral.
+    """
+    spec = euclid.IsometryGroupSpec(
+        3, [euclid.IsometryElement(euclid.rotation_z(np.pi / 2), [0.0, 0.0, 0.0])]
+    )
+    elements = euclid.generate(spec).elements
+    pts = []
+    for radius, z, offset in ((1.0, 0.3, 0.0), (1.7, -0.2, 0.4)):
+        for j in range(4):
+            a = offset + j * np.pi / 2
+            pts.append([radius * np.cos(a), radius * np.sin(a), z])
+    pts = np.array(pts)
+    density = np.array([0.8] * 4 + [1.3] * 4)
+    k = rng.normal(size=3)
+    n = rng.normal(size=3) + 1j * rng.normal(size=3)
+    n = n - (np.dot(n, k) / np.dot(k, k)) * k
+    setups = []
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    for i in range(16):
+        zc = 1.0 - 2.0 * (i + 0.5) / 16.0
+        r = np.sqrt(1.0 - zc * zc)
+        s0 = np.array([r * np.cos(golden * i), r * np.sin(golden * i), zc])
+        setups.append(ScatteringSetup(pts, np.ones(8), density, omega=2.2, c_light=1.0, s0=s0))
+    return elements, k, n, setups
+
+
+def certificate_specs() -> dict:
+    """The four type-I certificate cases, by report name.
+
+    A hexagonal point group, the pm wallpaper group, a 7-fold screw, and pm
+    again under a truncation too tight to certify.
+    """
+    mirror = euclid.IsometryElement(np.diag([1.0, -1.0]), [0.0, 0.0])
+    pm = [euclid.translation([1.0, 0.0]), euclid.translation([0.0, 1.0]), mirror]
+    return {
+        "finite_point_group": euclid.IsometryGroupSpec(
+            2, [euclid.IsometryElement(euclid.rotation_2d(np.pi / 3), [0.0, 0.0])]
+        ),
+        "pm_space_group": euclid.IsometryGroupSpec(
+            2, pm, euclid.Truncation(word_length=12, radius=6.0, max_elements=4000)
+        ),
+        "helical_screw": euclid.IsometryGroupSpec(
+            3, [euclid.screw(2 * np.pi / 7, 0.5)], euclid.Truncation(word_length=16, radius=10.0)
+        ),
+        "honest_inconclusive": euclid.IsometryGroupSpec(
+            2, pm, euclid.Truncation(word_length=2, radius=3.0)
+        ),
+    }

@@ -43,10 +43,20 @@ def encode_vector(v: np.ndarray) -> list:
 
 
 def decode_vector(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    """A plain real list or a list of [re, im] pairs; anything else is a ConfigError."""
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"vector must be a list of numbers or of [re, im] pairs: {err}") from err
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("vector entries must be finite")
     if arr.ndim == 1:  # plain real list
         return arr.astype(complex)
-    return np.array([complex(re, im) for re, im in entries])
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ConfigError(f"complex entries must be [re, im] pairs, got shape {list(arr.shape)}")
+    out = np.empty(len(arr), dtype=complex)
+    out.real, out.imag = arr[:, 0], arr[:, 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,100 @@
-"""The full verification battery behind `zakspace suite all`.
+"""The check registry behind `zakspace suite all` and the CLI verify commands.
 
-Every check is a closure returning {check, residual, tolerance, pass};
-closures draw their randomness from a generator seeded by (seed, slot),
-and results land in pre-assigned slots, so the report is byte-identical
-whatever the worker count.
+Every check returns a zak.VerificationReport.  The named check functions
+below take their inputs and check name as arguments: `run_suite` feeds
+them the bundled fixtures, and `zak verify`, `poisson check`, `bands
+check` and `diffract verify` feed them the input document.  Suite check i
+draws its randomness from a generator seeded by (seed, i), so a report
+depends on the seed alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import bloch, euclid, lattice, radiation, reciprocal, weil
-from .zak import intertwining_residual as zak_intertwining_residual
-from .zak import verify_roundtrip as zak_verify_roundtrip
-from .zak import verify_unitarity as zak_verify_unitarity
-from .zak import zak as zak_transform
 from .duals import irreps
-from .fixtures import BUNDLED_ACTIONS, random_complex, s3_transposition_subgroup
+from .fixtures import (
+    BUNDLED_ACTIONS,
+    c4_scatterer,
+    certificate_specs,
+    d3_invariant_operator,
+    random_complex,
+    s3_transposition_subgroup,
+)
 from .fourier import plancherel_residual
 from .groups import cyclic_group, dihedral_group, symmetric_group
+from .zak import VerificationReport, equivariance_residual, verify_roundtrip, verify_unitarity
+from .zak import intertwining_residual as zak_intertwining_residual
+from .zak import zak as zak_transform
+
+# ---------------------------------------------------------------------------
+# checks shared with the CLI; list arguments report the worst case
 
 
-def _entry(name: str, residual: float, tolerance: float) -> dict:
-    return {
-        "check": name,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "pass": bool(residual < tolerance),
-    }
+def check_zak_roundtrip(name, action, dual, fs) -> VerificationReport:
+    worst = max(verify_roundtrip(action, f, dual).residual for f in fs)
+    return VerificationReport(name, worst, 1e-11)
+
+
+def check_zak_unitarity(name, action, dual, fs) -> VerificationReport:
+    worst = max(verify_unitarity(zak_transform(action, f, dual), f).residual for f in fs)
+    return VerificationReport(name, worst, 1e-10)
+
+
+def check_zak_intertwining(name, action, dual, f) -> VerificationReport:
+    return VerificationReport(name, zak_intertwining_residual(action, f, dual), 1e-12)
+
+
+def check_classic_zak_fft(name, grid) -> VerificationReport:
+    direct = lattice.classic_zak_direct(grid.samples, grid.cells)
+    return VerificationReport(name, float(np.max(np.abs(grid.values - direct))), 1e-10)
+
+
+def check_classic_zak_quasiperiodicity(name, grid, shifts) -> VerificationReport:
+    """Worst quasi-periodicity residual over (cell offset, wave index) pairs."""
+    worst = max(lattice.quasiperiodicity_residual(grid, x0, j) for x0, j in shifts)
+    return VerificationReport(name, worst, 1e-10)
+
+
+def check_classic_zak_roundtrip(name, grid) -> VerificationReport:
+    return VerificationReport(name, lattice.roundtrip_residual(grid.samples, grid.cells), 1e-10)
+
+
+def check_poisson_abelian(name, group, sub, fs, dual=None) -> VerificationReport:
+    worst = max((reciprocal.poisson_abelian_check(f, group, sub, dual)[2] for f in fs), default=0.0)
+    return VerificationReport(name, worst, 1e-12)
+
+
+def check_poisson_compact(name, group, sub, fs, dual) -> VerificationReport:
+    worst = max((reciprocal.poisson_compact_check(f, group, sub, dual)[2] for f in fs), default=0.0)
+    return VerificationReport(name, worst, 1e-12)
+
+
+def check_band_union(name, bs, tolerance=1e-9, extra=0.0) -> VerificationReport:
+    """Band union against the dense ring spectrum; `extra` is a further residual folded in."""
+    return VerificationReport(name, max(bloch.band_union_residual(bs), extra), tolerance)
+
+
+def check_bands_even(name, bs) -> VerificationReport:
+    """Bands at wave index j and -j agree."""
+    worst = max(
+        (float(np.max(np.abs(bs.bands[j] - bs.bands[-j]))) for j in range(1, bs.periods)),
+        default=0.0,
+    )
+    return VerificationReport(name, worst, 1e-10)
+
+
+def check_radiation_recovery(name, elements, dual, k, n, setups) -> VerificationReport:
+    worst = max(
+        (radiation.symmetry_projected_transform(elements, dual, k, n, s).residual for s in setups),
+        default=0.0,
+    )
+    return VerificationReport(name, worst, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the suite registry: each entry maps a generator to one report
 
 
 def _weil_check(name, make, which):
@@ -40,25 +105,16 @@ def _weil_check(name, make, which):
         worst = max(
             fn(action, random_complex(rng, action.npoints), s) for _ in range(20)
         )
-        return _entry(f"{which}_formula[{name}]", worst, 1e-12)
+        return VerificationReport(f"{which}_formula[{name}]", worst, 1e-12)
 
     return run
 
 
-def _zak_check(name, make, which):
+def _zak_check(name, make, check):
     def run(rng):
         action = make()
-        dual = irreps(action.group)
-        worst = 0.0
-        for _ in range(20):
-            f = random_complex(rng, action.npoints)
-            if which == "roundtrip":
-                rep = zak_verify_roundtrip(action, f, dual)
-            else:
-                rep = zak_verify_unitarity(zak_transform(action, f, dual), f)
-            worst = max(worst, rep.residual)
-        tol = 1e-11 if which == "roundtrip" else 1e-10
-        return _entry(f"zak_{which}[{name}]", worst, tol)
+        fs = [random_complex(rng, action.npoints) for _ in range(20)]
+        return check(name, action, irreps(action.group), fs)
 
     return run
 
@@ -66,9 +122,8 @@ def _zak_check(name, make, which):
 def _intertwining_check(name, make):
     def run(rng):
         action = make()
-        dual = irreps(action.group)
-        worst = zak_intertwining_residual(action, random_complex(rng, action.npoints), dual)
-        return _entry(f"zak_intertwining[{name}]", worst, 1e-12)
+        f = random_complex(rng, action.npoints)
+        return check_zak_intertwining(f"zak_intertwining[{name}]", action, irreps(action.group), f)
 
     return run
 
@@ -76,14 +131,12 @@ def _intertwining_check(name, make):
 def _vanishing_check(name, make):
     def run(rng):
         action = make()
-        dual = irreps(action.group)
-        f = random_complex(rng, action.npoints)
-        coeffs = zak_transform(action, f, dual)
+        coeffs = zak_transform(action, random_complex(rng, action.npoints), irreps(action.group))
         worst = 0.0
         for (x0, label), block in coeffs.data.items():
             if not coeffs.stab_members[(x0, label)]:
                 worst = max(worst, float(np.linalg.norm(block)))
-        return _entry(f"zak_vanishing[{name}]", worst / max(1.0, coeffs.f_norm), 1e-12)
+        return VerificationReport(f"zak_vanishing[{name}]", worst / max(1.0, coeffs.f_norm), 1e-12)
 
     return run
 
@@ -91,36 +144,16 @@ def _vanishing_check(name, make):
 def _equivariance_check(name, make):
     def run(rng):
         action = make()
-        dual = irreps(action.group)
-        f = random_complex(rng, action.npoints)
-        worst = 0.0
-        s = weil.weil_structure(action)
-        base = zak_transform(action, f, dual, s)
-        inv_perm = action.perm[action.group.inverses]
-        for x in range(action.npoints):
-            direct = {
-                irr.label: np.einsum("g,gji->ij", f[inv_perm[:, x]], irr.matrices.conj())
-                for irr in dual.irreps
-            }
-            x0 = s.decomp.rep_of(x)
-            g = int(s.decomp.to_rep_element[x])
-            for irr in dual.irreps:
-                law = base[(x0, irr.label)] @ irr.matrices[g]
-                worst = max(worst, float(np.max(np.abs(law - direct[irr.label]))))
-        return _entry(f"zak_equivariance[{name}]", worst / max(1.0, float(np.linalg.norm(f))), 1e-12)
+        resid = equivariance_residual(action, random_complex(rng, action.npoints), irreps(action.group))
+        return VerificationReport(f"zak_equivariance[{name}]", resid, 1e-12)
 
     return run
 
 
-def _poisson_abelian_check(n, sub):
+def _poisson_abelian(n, sub):
     def run(rng):
-        group = cyclic_group(n)
-        worst = 0.0
-        for _ in range(50):
-            f = random_complex(rng, n)
-            _, _, resid = reciprocal.poisson_abelian_check(f, group, sub)
-            worst = max(worst, resid)
-        return _entry(f"poisson_abelian[Z{n}:{sub}]", worst, 1e-12)
+        fs = [random_complex(rng, n) for _ in range(50)]
+        return check_poisson_abelian(f"poisson_abelian[Z{n}:{sub}]", cyclic_group(n), sub, fs)
 
     return run
 
@@ -128,297 +161,197 @@ def _poisson_abelian_check(n, sub):
 def _poisson_compact_delta(which):
     def run(rng):
         group = symmetric_group(3)
-        dual = irreps(group)
         h = s3_transposition_subgroup(group)
         f = np.zeros(6, dtype=complex)
-        target = group.identity if which == "identity" else h[1]
-        f[target] = 1.0
-        lhs, rhs, resid = reciprocal.poisson_compact_check(f, group, h, dual)
+        f[group.identity if which == "identity" else h[1]] = 1.0
+        lhs, rhs, resid = reciprocal.poisson_compact_check(f, group, h, irreps(group))
         resid = max(resid, abs(lhs - 0.5), abs(rhs - 0.5))
-        return _entry(f"poisson_compact[S3:delta_{which}]", resid, 1e-12)
+        return VerificationReport(f"poisson_compact[S3:delta_{which}]", resid, 1e-12)
 
     return run
 
 
-def _poisson_compact_random(run_label, subgroup_kind):
+def _poisson_compact_random(label, subgroup_kind):
     def run(rng):
         group = symmetric_group(3)
-        dual = irreps(group)
-        h = (
-            [group.identity]
-            if subgroup_kind == "trivial"
-            else s3_transposition_subgroup(group)
-        )
-        worst = 0.0
-        for _ in range(50):
-            _, _, resid = reciprocal.poisson_compact_check(
-                random_complex(rng, 6), group, h, dual
-            )
-            worst = max(worst, resid)
-        return _entry(f"poisson_compact[{run_label}]", worst, 1e-12)
+        h = [group.identity] if subgroup_kind == "trivial" else s3_transposition_subgroup(group)
+        fs = [random_complex(rng, 6) for _ in range(50)]
+        return check_poisson_compact(f"poisson_compact[{label}]", group, h, fs, irreps(group))
 
     return run
 
 
-def _build_checks():
+def _quotient_fourier(rng):
+    group = symmetric_group(3)
+    dual = irreps(group)
+    h = s3_transposition_subgroup(group)
+    worst = max(
+        reciprocal.quotient_fourier_check(np.eye(3, dtype=complex)[i], group, h, dual)
+        for i in range(3)
+    )
+    return VerificationReport("quotient_fourier[S3/<swap>]", worst, 1e-12)
+
+
+def _plancherel(gname, gmake):
+    def run(rng):
+        dual = irreps(gmake())
+        worst = max(
+            plancherel_residual(random_complex(rng, dual.group.order), dual) for _ in range(50)
+        )
+        return VerificationReport(f"plancherel[{gname}]", worst, 1e-10)
+
+    return run
+
+
+def _classic_1d(rng):
+    grid = lattice.classic_zak(random_complex(rng, 64), cells=4)
+    return check_classic_zak_fft("classic_zak_fft_vs_direct[1d:N=64]", grid)
+
+
+def _classic_2d(rng):
+    grid = lattice.classic_zak(random_complex(rng, 256).reshape(16, 16), cells=(4, 4))
+    return check_classic_zak_fft("classic_zak_fft_vs_direct[2d:16x16]", grid)
+
+
+def _classic_quasi(rng):
+    grid = lattice.classic_zak(random_complex(rng, 24), cells=4)
+    shifts = [(x0, j) for x0 in range(4) for j in range(6)]
+    return check_classic_zak_quasiperiodicity("classic_zak_quasiperiodicity", grid, shifts)
+
+
+def _classic_roundtrip(rng):
+    grid = lattice.classic_zak(random_complex(rng, 48), cells=6)
+    return check_classic_zak_roundtrip("classic_zak_roundtrip", grid)
+
+
+def _band_c6(rng):
+    bs = bloch.band_structure(t=1.0, m=1, n=6, onsite=[0.0])
+    expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(6) / 6))
+    closed_form = float(np.max(np.abs(bs.union() - expected)))
+    return check_band_union("bands[C6_cosine]", bs, 1e-10, extra=closed_form)
+
+
+def _band_dimer(rng):
+    bs = bloch.band_structure(t=1.0, m=2, n=8, onsite=[0.5, -0.5])
+    gap = float(bs.bands[4][1] - bs.bands[4][0])
+    return check_band_union("bands[dimer_union_and_gap]", bs, 1e-9, extra=abs(gap - 1.0))
+
+
+def _band_shift(rng):
+    base = bloch.band_structure(t=1.0, m=2, n=5, onsite=[0.0, 0.0])
+    shifted = bloch.band_structure(t=1.0, m=2, n=5, onsite=[0.3, 0.3])
+    resid = float(np.max(np.abs(shifted.bands - base.bands - 0.3)))
+    return VerificationReport("bands[constant_shift]", resid, 1e-12)
+
+
+def _d3_blocks(rng):
+    action, h = d3_invariant_operator(rng)
+    bd = bloch.block_diagonalize(bloch.check_invariance(action, h), irreps(action.group))
+    return h, bd
+
+
+def _block_d3(rng):
+    h, bd = _d3_blocks(rng)
+    scale = max(1.0, float(np.linalg.norm(h)))
+    spec_resid = float(np.max(np.abs(bd.spectrum() - np.linalg.eigvalsh(h)))) / scale
+    resid = max(bd.off_block_residual / scale, spec_resid)
+    return VerificationReport("block_diagonalize[D3_offblock_spectrum]", resid, 1e-9)
+
+
+def _block_d3_repetition(rng):
+    _, bd = _d3_blocks(rng)
+    return VerificationReport("block_diagonalize[D3_repetition]", bd.repetition_residual(), 1e-9)
+
+
+def _euclid_conjugation(rng):
+    worst = 0.0
+    for _ in range(20):
+        g = euclid.IsometryElement(
+            euclid.rotation_z(rng.uniform(0, 2 * np.pi)), rng.normal(size=3)
+        )
+        t = euclid.translation(rng.normal(size=3))
+        worst = max(worst, euclid.conjugation_residual(g, t))
+    return VerificationReport("euclid_conjugation_identity", worst, 1e-12)
+
+
+_CERTIFICATE_OUTCOMES = {
+    "finite_point_group": lambda c: c.status == "type_I" and c.kind == "finite",
+    "pm_space_group": lambda c: c.status == "type_I" and c.kind == "space_group" and c.index == 2,
+    "helical_screw": lambda c: c.status == "type_I" and c.kind == "helical" and c.index == 1,
+    "honest_inconclusive": lambda c: c.status == "inconclusive",
+}
+
+
+def _certificate_check(label, spec):
+    def run(rng):
+        ok = _CERTIFICATE_OUTCOMES[label](euclid.type_one_certificate(spec))
+        return VerificationReport(f"certificate[{label}]", 0.0 if ok else 1.0, 0.5)
+
+    return run
+
+
+def _radiation_recovery(rng):
+    elements, k, n, setups = c4_scatterer(rng)
+    dual = irreps(euclid.isometry_finite_group(elements))
+    return check_radiation_recovery("radiation_recovery[C4_16_directions]", elements, dual, k, n, setups)
+
+
+def _radiation_transversality(rng):
+    pts = rng.normal(size=(10, 3))
+    k = rng.normal(size=3)
+    n = rng.normal(size=3) + 1j * rng.normal(size=3)
+    n = n - (np.dot(n, k) / np.dot(k, k)) * k
+    field = radiation.plane_wave(k, n, pts)
+    s0 = rng.normal(size=3)
+    s0 /= np.linalg.norm(s0)
+    setup = radiation.ScatteringSetup(pts, np.ones(10), rng.normal(size=10) ** 2, 2.0, 1.0, s0)
+    out = radiation.radiation_transform(field, setup)
+    return VerificationReport("radiation_transversality", float(abs(np.dot(s0, out))), 1e-12)
+
+
+def _build_checks() -> list:
+    """Every suite check, in report order."""
     checks = []
     for name, make in BUNDLED_ACTIONS.items():
         checks.append(_weil_check(name, make, "weil"))
         checks.append(_weil_check(name, make, "mackey"))
     for name, make in BUNDLED_ACTIONS.items():
-        checks.append(_zak_check(name, make, "roundtrip"))
-        checks.append(_zak_check(name, make, "unitarity"))
+        checks.append(_zak_check(f"zak_roundtrip[{name}]", make, check_zak_roundtrip))
+        checks.append(_zak_check(f"zak_unitarity[{name}]", make, check_zak_unitarity))
     for name in ("z2_fixed_point", "s3_translation", "d3_triangle", "c6_ring_with_center"):
         checks.append(_intertwining_check(name, BUNDLED_ACTIONS[name]))
         checks.append(_equivariance_check(name, BUNDLED_ACTIONS[name]))
     for name in ("z2_fixed_point", "d3_triangle", "c6_ring_with_center"):
         checks.append(_vanishing_check(name, BUNDLED_ACTIONS[name]))
-
-    checks.append(_poisson_abelian_check(4, [0, 2]))
-    checks.append(_poisson_abelian_check(6, [0, 3]))
-    checks.append(_poisson_abelian_check(6, [0, 2, 4]))
-    checks.append(_poisson_compact_delta("identity"))
-    checks.append(_poisson_compact_delta("transposition"))
+    checks += [_poisson_abelian(4, [0, 2]), _poisson_abelian(6, [0, 3]), _poisson_abelian(6, [0, 2, 4])]
+    checks += [_poisson_compact_delta("identity"), _poisson_compact_delta("transposition")]
     checks.append(_poisson_compact_random("S3:random", "transposition"))
     checks.append(_poisson_compact_random("S3:trivial_subgroup", "trivial"))
-
-    def quotient_fourier(rng):
-        group = symmetric_group(3)
-        dual = irreps(group)
-        h = s3_transposition_subgroup(group)
-        worst = 0.0
-        for i in range(3):
-            f = np.zeros(3, dtype=complex)
-            f[i] = 1.0
-            worst = max(worst, reciprocal.quotient_fourier_check(f, group, h, dual))
-        return _entry("quotient_fourier[S3/<swap>]", worst, 1e-12)
-
-    checks.append(quotient_fourier)
-
-    for gname, gmake in (
-        ("C6", lambda: cyclic_group(6)),
-        ("S3", lambda: symmetric_group(3)),
-        ("D4", lambda: dihedral_group(4)),
-    ):
-        def plancherel(rng, gmake=gmake, gname=gname):
-            group = gmake()
-            dual = irreps(group)
-            worst = max(
-                plancherel_residual(random_complex(rng, group.order), dual)
-                for _ in range(50)
-            )
-            return _entry(f"plancherel[{gname}]", worst, 1e-10)
-
-        checks.append(plancherel)
-
-    def classic_1d(rng):
-        f = random_complex(rng, 64)
-        grid = lattice.classic_zak(f, cells=4)
-        direct = lattice.classic_zak_direct(f, cells=4)
-        return _entry("classic_zak_fft_vs_direct[1d:N=64]", float(np.max(np.abs(grid.values - direct))), 1e-10)
-
-    def classic_2d(rng):
-        f = random_complex(rng, 256).reshape(16, 16)
-        grid = lattice.classic_zak(f, cells=(4, 4))
-        direct = lattice.classic_zak_direct(f, cells=(4, 4))
-        return _entry("classic_zak_fft_vs_direct[2d:16x16]", float(np.max(np.abs(grid.values - direct))), 1e-10)
-
-    def classic_quasi(rng):
-        f = random_complex(rng, 24)
-        grid = lattice.classic_zak(f, cells=4)
-        worst = max(
-            lattice.quasiperiodicity_residual(grid, x0, j)
-            for x0 in range(4)
-            for j in range(6)
-        )
-        return _entry("classic_zak_quasiperiodicity", worst, 1e-10)
-
-    def classic_roundtrip(rng):
-        f = random_complex(rng, 48)
-        return _entry("classic_zak_roundtrip", lattice.roundtrip_residual(f, cells=6), 1e-10)
-
-    checks += [classic_1d, classic_2d, classic_quasi, classic_roundtrip]
-
-    def band_c6(rng):
-        bs = bloch.band_structure(t=1.0, m=1, n=6, onsite=[0.0])
-        expected = np.sort(-2.0 * np.cos(2.0 * np.pi * np.arange(6) / 6))
-        resid = float(np.max(np.abs(bs.union() - expected)))
-        return _entry("bands[C6_cosine]", max(resid, bloch.band_union_residual(bs)), 1e-10)
-
-    def band_dimer(rng):
-        bs = bloch.band_structure(t=1.0, m=2, n=8, onsite=[0.5, -0.5])
-        gap = float(bs.bands[4][1] - bs.bands[4][0])
-        return _entry(
-            "bands[dimer_union_and_gap]",
-            max(bloch.band_union_residual(bs), abs(gap - 1.0)),
-            1e-9,
-        )
-
-    def band_shift(rng):
-        base = bloch.band_structure(t=1.0, m=2, n=5, onsite=[0.0, 0.0])
-        shifted = bloch.band_structure(t=1.0, m=2, n=5, onsite=[0.3, 0.3])
-        return _entry(
-            "bands[constant_shift]",
-            float(np.max(np.abs(shifted.bands - base.bands - 0.3))),
-            1e-12,
-        )
-
-    checks += [band_c6, band_dimer, band_shift]
-
-    def block_d3(rng):
-        from .fixtures import d3_flags
-
-        action = d3_flags()
-        dual = irreps(action.group)
-        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        raw = raw + raw.conj().T
-        h = sum(
-            action.permutation_matrix(g) @ raw @ action.permutation_matrix(g).T
-            for g in action.group.elements()
-        )
-        op = bloch.check_invariance(action, h)
-        bd = bloch.block_diagonalize(op, dual)
-        scale = max(1.0, float(np.linalg.norm(h)))
-        spec_resid = float(np.max(np.abs(bd.spectrum() - np.linalg.eigvalsh(h)))) / scale
-        return _entry(
-            "block_diagonalize[D3_offblock_spectrum]",
-            max(bd.off_block_residual / scale, spec_resid),
-            1e-9,
-        )
-
-    def block_d3_repetition(rng):
-        from .fixtures import d3_flags
-
-        action = d3_flags()
-        dual = irreps(action.group)
-        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        raw = raw + raw.conj().T
-        h = sum(
-            action.permutation_matrix(g) @ raw @ action.permutation_matrix(g).T
-            for g in action.group.elements()
-        )
-        bd = bloch.block_diagonalize(bloch.check_invariance(action, h), dual)
-        return _entry("block_diagonalize[D3_repetition]", bd.repetition_residual(), 1e-9)
-
-    checks += [block_d3, block_d3_repetition]
-
-    def euclid_conjugation(rng):
-        worst = 0.0
-        for _ in range(20):
-            g = euclid.IsometryElement(
-                euclid.rotation_z(rng.uniform(0, 2 * np.pi)), rng.normal(size=3)
-            )
-            t = euclid.translation(rng.normal(size=3))
-            worst = max(worst, euclid.conjugation_residual(g, t))
-        return _entry("euclid_conjugation_identity", worst, 1e-12)
-
-    def cert_finite(rng):
-        spec = euclid.IsometryGroupSpec(
-            2, [euclid.IsometryElement(euclid.rotation_2d(np.pi / 3), [0.0, 0.0])]
-        )
-        cert = euclid.type_one_certificate(spec)
-        ok = cert.status == "type_I" and cert.kind == "finite"
-        return _entry("certificate[finite_point_group]", 0.0 if ok else 1.0, 0.5)
-
-    def cert_space_group(rng):
-        mirror = euclid.IsometryElement(np.diag([1.0, -1.0]), [0.0, 0.0])
-        spec = euclid.IsometryGroupSpec(
-            2,
-            [euclid.translation([1.0, 0.0]), euclid.translation([0.0, 1.0]), mirror],
-            euclid.Truncation(word_length=12, radius=6.0, max_elements=4000),
-        )
-        cert = euclid.type_one_certificate(spec)
-        ok = cert.status == "type_I" and cert.kind == "space_group" and cert.index == 2
-        return _entry("certificate[pm_space_group]", 0.0 if ok else 1.0, 0.5)
-
-    def cert_helical(rng):
-        spec = euclid.IsometryGroupSpec(
-            3,
-            [euclid.screw(2 * np.pi / 7, 0.5)],
-            euclid.Truncation(word_length=16, radius=10.0),
-        )
-        cert = euclid.type_one_certificate(spec)
-        ok = cert.status == "type_I" and cert.kind == "helical" and cert.index == 1
-        return _entry("certificate[helical_screw]", 0.0 if ok else 1.0, 0.5)
-
-    def cert_inconclusive(rng):
-        mirror = euclid.IsometryElement(np.diag([1.0, -1.0]), [0.0, 0.0])
-        spec = euclid.IsometryGroupSpec(
-            2,
-            [euclid.translation([1.0, 0.0]), euclid.translation([0.0, 1.0]), mirror],
-            euclid.Truncation(word_length=2, radius=3.0),
-        )
-        cert = euclid.type_one_certificate(spec)
-        ok = cert.status == "inconclusive"
-        return _entry("certificate[honest_inconclusive]", 0.0 if ok else 1.0, 0.5)
-
-    checks += [euclid_conjugation, cert_finite, cert_space_group, cert_helical, cert_inconclusive]
-
-    def recovery(rng):
-        spec = euclid.IsometryGroupSpec(
-            3, [euclid.IsometryElement(euclid.rotation_z(np.pi / 2), [0.0, 0.0, 0.0])]
-        )
-        elements = euclid.generate(spec).elements
-        group = euclid.isometry_finite_group(elements)
-        dual = irreps(group)
-        pts = []
-        for radius, z, offset in ((1.0, 0.3, 0.0), (1.7, -0.2, 0.4)):
-            for j in range(4):
-                a = offset + j * np.pi / 2
-                pts.append([radius * np.cos(a), radius * np.sin(a), z])
-        pts = np.array(pts)
-        density = np.array([0.8] * 4 + [1.3] * 4)
-        k = rng.normal(size=3)
-        n = rng.normal(size=3) + 1j * rng.normal(size=3)
-        n = n - (np.dot(n, k) / np.dot(k, k)) * k
-        worst = 0.0
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        for i in range(16):  # deterministic spiral of outgoing directions
-            zc = 1.0 - 2.0 * (i + 0.5) / 16.0
-            r = np.sqrt(1.0 - zc * zc)
-            s0 = np.array([r * np.cos(golden * i), r * np.sin(golden * i), zc])
-            setup = radiation.ScatteringSetup(pts, np.ones(8), density, omega=2.2, c_light=1.0, s0=s0)
-            report = radiation.symmetry_projected_transform(elements, dual, k, n, setup)
-            worst = max(worst, report.residual)
-        return _entry("radiation_recovery[C4_16_directions]", worst, 1e-9)
-
-    def radiation_orthogonality(rng):
-        pts = rng.normal(size=(10, 3))
-        k = rng.normal(size=3)
-        n = rng.normal(size=3) + 1j * rng.normal(size=3)
-        n = n - (np.dot(n, k) / np.dot(k, k)) * k
-        field = radiation.plane_wave(k, n, pts)
-        s0 = rng.normal(size=3)
-        s0 /= np.linalg.norm(s0)
-        setup = radiation.ScatteringSetup(pts, np.ones(10), rng.normal(size=10) ** 2, 2.0, 1.0, s0)
-        out = radiation.radiation_transform(field, setup)
-        return _entry("radiation_transversality", float(abs(np.dot(s0, out))), 1e-12)
-
-    checks += [recovery, radiation_orthogonality]
+    checks.append(_quotient_fourier)
+    checks += [
+        _plancherel("C6", lambda: cyclic_group(6)),
+        _plancherel("S3", lambda: symmetric_group(3)),
+        _plancherel("D4", lambda: dihedral_group(4)),
+    ]
+    checks += [_classic_1d, _classic_2d, _classic_quasi, _classic_roundtrip]
+    checks += [_band_c6, _band_dimer, _band_shift, _block_d3, _block_d3_repetition]
+    checks.append(_euclid_conjugation)
+    checks += [_certificate_check(label, spec) for label, spec in certificate_specs().items()]
+    checks += [_radiation_recovery, _radiation_transversality]
     return checks
 
 
 def run_suite(seed: int = 0, jobs: int = 1) -> dict:
-    """Run every check; slot-indexed seeding keeps reports independent of jobs."""
-    checks = _build_checks()
-    results: list = [None] * len(checks)
+    """Run every check in order; check i draws from a generator seeded by (seed, i).
 
-    def run_one(i):
-        rng = np.random.default_rng([seed, i])
-        return checks[i](rng)
-
-    if jobs <= 1:
-        for i in range(len(checks)):
-            results[i] = run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, res in enumerate(pool.map(run_one, range(len(checks)))):
-                results[i] = res
-    n_pass = sum(1 for r in results if r["pass"])
+    `jobs` is accepted and ignored: the checks run serially in one loop.
+    """
+    reports = [check(np.random.default_rng([seed, i])) for i, check in enumerate(_build_checks())]
+    n_pass = sum(r.passed for r in reports)
     return {
         "seed": seed,
-        "n_checks": len(results),
+        "n_checks": len(reports),
         "n_pass": n_pass,
-        "all_pass": n_pass == len(results),
-        "checks": results,
+        "all_pass": n_pass == len(reports),
+        "checks": [r.as_dict() for r in reports],
     }

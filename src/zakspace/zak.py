@@ -34,20 +34,26 @@ from .weil import WeilStructure, weil_structure
 
 @dataclass
 class VerificationReport:
+    """One named check: it passes when the residual is below the tolerance.
+
+    Every check of `suite all` and of the CLI verify commands is one of
+    these, and as_dict() is its only serialized form.
+    """
+
     check: str
     residual: float
     tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tolerance
+        return bool(self.residual < self.tolerance)
 
     def as_dict(self) -> dict:
         return {
             "check": self.check,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": bool(self.passed),
+            "residual": float(self.residual),
+            "tolerance": float(self.tolerance),
+            "pass": self.passed,
         }
 
 
@@ -134,6 +140,19 @@ def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | Non
     return coeffs
 
 
+def _extension_gap(coeffs: ZakCoefficients, f: np.ndarray, x: int) -> tuple[dict, float]:
+    """Defining sums at x, and their largest gap from Z f(x0, sigma) sigma(g) where g x = x0."""
+    action, decomp = coeffs.action, coeffs.structure.decomp
+    orbit_vals = f[action.perm[action.group.inverses, x]]  # g -> f(g^-1 x)
+    x0, g = decomp.rep_of(x), int(decomp.to_rep_element[x])
+    direct, gap = {}, 0.0
+    for irr in coeffs.dual.irreps:
+        direct[irr.label] = np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
+        law = coeffs[(x0, irr.label)] @ irr.matrices[g]
+        gap = max(gap, float(np.max(np.abs(law - direct[irr.label]))))
+    return direct, gap
+
+
 def extended_zak(action: GroupAction, f, dual: DualObject, x: int) -> dict:
     """Zak matrices at an arbitrary point, computed two ways and compared.
 
@@ -143,24 +162,20 @@ def extended_zak(action: GroupAction, f, dual: DualObject, x: int) -> dict:
     """
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
-    s = weil_structure(action)
-    inv_perm = action.perm[action.group.inverses]
-    orbit_vals = f[inv_perm[:, x]]
-    direct = {
-        irr.label: np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
-        for irr in dual.irreps
-    }
-    coeffs = zak(action, f, dual, s)
-    x0 = s.decomp.rep_of(x)
-    g = int(s.decomp.to_rep_element[x])  # g x = x0, so x = g^-1 x0
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(f)))
-    for irr in dual.irreps:
-        via_law = coeffs[(x0, irr.label)] @ irr.matrices[g]
-        if np.max(np.abs(via_law - direct[irr.label])) > tol:
-            raise EquivarianceViolation(
-                f"extended Zak at x={x}, sigma={irr.label} disagrees with the equivariance law"
-            )
+    direct, gap = _extension_gap(zak(action, f, dual), f, x)
+    if gap > 1e-12 * max(1.0, float(np.linalg.norm(f))):
+        raise EquivarianceViolation(
+            f"extended Zak at x={x} disagrees with the equivariance law by {gap:g}"
+        )
     return direct
+
+
+def equivariance_residual(action: GroupAction, f, dual: DualObject) -> float:
+    """The extension gap of extended_zak, worst over all points, over max(1, ||f||)."""
+    f = np.asarray(f, dtype=complex)
+    coeffs = zak(action, f, dual)
+    worst = max(_extension_gap(coeffs, f, x)[1] for x in range(action.npoints))
+    return worst / max(1.0, float(np.linalg.norm(f)))
 
 
 def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:

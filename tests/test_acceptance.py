@@ -10,19 +10,23 @@ import time
 import numpy as np
 import pytest
 
-from zakspace import bloch, euclid, lattice, radiation
+from zakspace import bloch, euclid, lattice
 from zakspace.duals import irreps
 from zakspace.fixtures import (
     BUNDLED_ACTIONS,
+    c4_scatterer,
+    certificate_specs,
+    d3_invariant_operator,
     random_complex,
     s3_transposition_subgroup,
 )
 from zakspace.fourier import fourier
 from zakspace.groups import cyclic_group, symmetric_group
 from zakspace.reciprocal import poisson_abelian_check, poisson_compact_check
-from zakspace.suite import run_suite
+from zakspace.suite import check_radiation_recovery, run_suite
 from zakspace.weil import orbital_mean, weil_structure
 from zakspace.zak import (
+    equivariance_residual,
     intertwining_residual,
     verify_roundtrip,
     verify_unitarity,
@@ -125,15 +129,8 @@ def test_criterion_4_intertwining_equivariance_vanishing():
         f = random_complex(rng, action.npoints)
         norm2 = float(np.linalg.norm(f))
         worst_int = max(worst_int, intertwining_residual(action, f, dual))
+        worst_equiv = max(worst_equiv, equivariance_residual(action, f, dual))
         base = zak(action, f, dual, s)
-        inv_perm = action.perm[action.group.inverses]
-        for x in range(action.npoints):
-            x0 = s.decomp.rep_of(x)
-            g = int(s.decomp.to_rep_element[x])
-            for irr in dual.irreps:
-                direct = np.einsum("g,gji->ij", f[inv_perm[:, x]], irr.matrices.conj())
-                law = base[(x0, irr.label)] @ irr.matrices[g]
-                worst_equiv = max(worst_equiv, float(np.max(np.abs(law - direct))) / max(1.0, norm2))
         for (x0, label), block in base.data.items():
             if not base.stab_members[(x0, label)]:
                 worst_vanish = max(worst_vanish, float(np.linalg.norm(block)) / norm2)
@@ -178,17 +175,8 @@ def test_criterion_6_bloch_blocks_and_bands():
     dimer = bloch.band_structure(t=1.0, m=2, n=8, onsite=[0.4, -0.4])
     dimer_resid = bloch.band_union_residual(dimer)
 
-    from zakspace.fixtures import d3_flags
-
-    rng = np.random.default_rng(106)
-    action = d3_flags()
+    action, h = d3_invariant_operator(np.random.default_rng(106))
     dual = irreps(action.group)
-    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    raw = raw + raw.conj().T
-    h = sum(
-        action.permutation_matrix(g) @ raw @ action.permutation_matrix(g).T
-        for g in action.group.elements()
-    )
     op = bloch.check_invariance(action, h)
     bd = bloch.block_diagonalize(op, dual)
     scale = float(np.linalg.norm(h))
@@ -215,27 +203,11 @@ def test_criterion_7_euclid_certificates():
         t = euclid.translation(rng.normal(size=3))
         worst_conj = max(worst_conj, euclid.conjugation_residual(g, t))
 
-    finite_cert = euclid.type_one_certificate(
-        euclid.IsometryGroupSpec(2, [euclid.IsometryElement(euclid.rotation_2d(np.pi / 3), [0.0, 0.0])])
-    )
-    mirror = euclid.IsometryElement(np.diag([1.0, -1.0]), [0.0, 0.0])
-    pm = euclid.IsometryGroupSpec(
-        2,
-        [euclid.translation([1.0, 0.0]), euclid.translation([0.0, 1.0]), mirror],
-        euclid.Truncation(word_length=12, radius=6.0, max_elements=4000),
-    )
-    pm_cert = euclid.type_one_certificate(pm)
-    helical_cert = euclid.type_one_certificate(
-        euclid.IsometryGroupSpec(
-            3, [euclid.screw(2 * np.pi / 7, 0.5)], euclid.Truncation(word_length=16, radius=10.0)
-        )
-    )
-    tight = euclid.IsometryGroupSpec(
-        2,
-        [euclid.translation([1.0, 0.0]), euclid.translation([0.0, 1.0]), mirror],
-        euclid.Truncation(word_length=2, radius=3.0),
-    )
-    inconclusive_cert = euclid.type_one_certificate(tight)
+    specs = certificate_specs()
+    finite_cert = euclid.type_one_certificate(specs["finite_point_group"])
+    pm_cert = euclid.type_one_certificate(specs["pm_space_group"])
+    helical_cert = euclid.type_one_certificate(specs["helical_screw"])
+    inconclusive_cert = euclid.type_one_certificate(specs["honest_inconclusive"])
     ok = (
         worst_conj < 1e-12
         and finite_cert.status == "type_I"
@@ -259,31 +231,10 @@ def test_criterion_7_euclid_certificates():
 def test_criterion_8_radiation_recovery():
     rng = np.random.default_rng(108)
     t0 = time.perf_counter()
-    spec = euclid.IsometryGroupSpec(
-        3, [euclid.IsometryElement(euclid.rotation_z(np.pi / 2), [0.0, 0.0, 0.0])]
-    )
-    elements = euclid.generate(spec).elements
-    group = euclid.isometry_finite_group(elements)
-    dual = irreps(group)
-    pts = []
-    for radius, z, offset in ((1.0, 0.3, 0.0), (1.7, -0.2, 0.4)):
-        for j in range(4):
-            a = offset + j * np.pi / 2
-            pts.append([radius * np.cos(a), radius * np.sin(a), z])
-    pts = np.array(pts)
-    density = np.array([0.8] * 4 + [1.3] * 4)
-    k = rng.normal(size=3)
-    n = rng.normal(size=3) + 1j * rng.normal(size=3)
-    n = n - (np.dot(n, k) / np.dot(k, k)) * k
-    worst = 0.0
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    for i in range(16):
-        zc = 1.0 - 2.0 * (i + 0.5) / 16.0
-        r = np.sqrt(1.0 - zc * zc)
-        s0 = np.array([r * np.cos(golden * i), r * np.sin(golden * i), zc])
-        setup = radiation.ScatteringSetup(pts, np.ones(8), density, omega=2.2, c_light=1.0, s0=s0)
-        report = radiation.symmetry_projected_transform(elements, dual, k, n, setup)
-        worst = max(worst, report.residual)
+    elements, k, n, setups = c4_scatterer(rng)
+    dual = irreps(euclid.isometry_finite_group(elements))
+    assert len(setups) == 16
+    worst = check_radiation_recovery("radiation_recovery", elements, dual, k, n, setups).residual
     elapsed = time.perf_counter() - t0
     _report(
         8,

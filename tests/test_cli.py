@@ -146,25 +146,26 @@ def test_euclid_generate_and_certify(tmp_path, capsys):
     assert cert["status"] == "type_I"
 
 
-def test_diffract_run_and_verify(tmp_path, capsys):
+def diffract_doc():
     pts = []
     for radius, z, offset in ((1.0, 0.3, 0.0), (1.7, -0.2, 0.4)):
         for j in range(4):
             a = offset + j * np.pi / 2
             pts.append([radius * np.cos(a), radius * np.sin(a), z])
-    k = [0.4, 0.1, 0.2]
-    n = [1.0, -2.0, -1.0]  # n . k = 0.4 - 0.2 - 0.2 = 0
-    cfg = {
+    return {
         "group": c4_group_doc(),
         "points": pts,
         "density": [0.8] * 4 + [1.3] * 4,
-        "k": k,
-        "n": [[1.0, 0.0], [-2.0, 0.0], [-1.0, 0.0]],
+        "k": [0.4, 0.1, 0.2],
+        "n": [[1.0, 0.0], [-2.0, 0.0], [-1.0, 0.0]],  # n . k = 0.4 - 0.2 - 0.2 = 0
         "omega": 2.0,
         "c_light": 1.0,
         "s0_list": [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8], [-0.48, 0.6, 0.64]],
     }
-    path = write(tmp_path, "d.json", cfg)
+
+
+def test_diffract_run_and_verify(tmp_path, capsys):
+    path = write(tmp_path, "d.json", diffract_doc())
     assert main(["diffract", "run", path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("s0_x,s0_y,s0_z,intensity,intensity_")
@@ -229,3 +230,56 @@ def test_zak_verify_lattice_mode(tmp_path, capsys):
     assert out["all_pass"]
     names = {c["check"] for c in out["checks"]}
     assert "zak_unitarity" in names and "classic_zak_fft_vs_direct" in names
+
+
+VERIFY_REPORTS = {
+    "zak_finite": ("zak", "verify", {"action": action_to_dict(z2_fixed_point()), "n_random": 2}),
+    "zak_lattice": ("zak", "verify", {"samples": [float(v) for v in np.arange(24.0) % 5], "cells": [4]}),
+    "poisson": ("poisson", "check", {"group": "cyclic:6", "subgroup": [0, 3], "n_random": 5}),
+    "bands": ("bands", "check", dimer_model()),
+    "diffract": ("diffract", "verify", diffract_doc()),
+}
+
+
+@pytest.mark.parametrize("report", sorted(VERIFY_REPORTS))
+def test_tol_sets_every_check_tolerance(tmp_path, capsys, report):
+    group, sub, doc = VERIFY_REPORTS[report]
+    assert main([group, sub, write(tmp_path, "doc.json", doc), "--tol", "1e-3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pass"]
+    assert [c["tolerance"] for c in out["checks"]] == [1e-3] * len(out["checks"])
+    assert all(c["pass"] is True for c in out["checks"])
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_bad_tol_exit_2(tmp_path, capsys, tol):
+    assert main(["bands", "check", write(tmp_path, "m.json", dimer_model()), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("name", ["bogus:3", "cyclic:x", "cyclic:0", "product:cyclic:2"])
+def test_bad_group_name_exit_2(tmp_path, capsys, name):
+    cfg = {"group": name, "subgroup": [0]}
+    assert main(["poisson", "check", write(tmp_path, "p.json", cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [[1, 0], [1, 0, 5], [0, 0]],  # ragged
+        [[1, 0, 5], [1, 0, 5], [0, 0, 1], [1, 1, 1]],  # rows of width 3
+        [[1], [0], [2], [3]],  # rows of width 1
+        [[1, 0], [1e400, 0], [0, 0], [0, 1]],  # inf after JSON parsing
+        [1.0, "a", 0.0, 0.0],  # not a number
+    ],
+)
+def test_bad_vector_exit_2(tmp_path, capsys, f):
+    cfg = {"action": action_to_dict(z4_rotation()), "f": f}
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"

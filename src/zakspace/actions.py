@@ -63,9 +63,9 @@ def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise SizeMismatch(f"weights must have shape ({m},), got {weights.shape}")
-    for x in range(m):
-        if not weights[x] > 0:
-            raise NonpositiveWeight(x, weights[x])
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+    if bad.size:
+        raise NonpositiveWeight(int(bad[0]), weights[bad[0]])
 
     ident = np.arange(m)
     if not np.array_equal(perm[group.identity], ident):

@@ -177,16 +177,22 @@ class BandStructure:
         return np.sort(self.bands.ravel())
 
 
+def bloch_blocks(t: float, m: int, thetas, onsite) -> np.ndarray:
+    """Cell Hamiltonians (N, M, M), phase exp(-i theta) on the wrap-around hop."""
+    thetas = np.asarray(thetas, dtype=float)
+    h = np.zeros((thetas.shape[0], m, m), dtype=complex)
+    h[:, np.arange(m), np.arange(m)] = np.asarray(onsite, dtype=float)
+    for a in range(m - 1):
+        h[:, a, a + 1] += -t
+        h[:, a + 1, a] += -t
+    h[:, m - 1, 0] += -t * np.exp(-1j * thetas)
+    h[:, 0, m - 1] += -t * np.exp(1j * thetas)
+    return h
+
+
 def bloch_block(t: float, m: int, theta: float, onsite) -> np.ndarray:
     """Cell Hamiltonian with phase exp(-i theta) on the wrap-around hop."""
-    h = np.zeros((m, m), dtype=complex)
-    h[np.arange(m), np.arange(m)] = np.asarray(onsite, dtype=float)
-    for a in range(m - 1):
-        h[a, a + 1] += -t
-        h[a + 1, a] += -t
-    h[m - 1, 0] += -t * np.exp(-1j * theta)
-    h[0, m - 1] += -t * np.exp(1j * theta)
-    return h
+    return bloch_blocks(t, m, [theta], onsite)[0]
 
 
 def ring_hamiltonian(t: float, m: int, n: int, onsite) -> np.ndarray:
@@ -214,8 +220,8 @@ def ring_translation_action(m: int, n: int) -> GroupAction:
 def band_structure(t: float, m: int, n: int, onsite, jobs: int = 1) -> BandStructure:
     """Bands of the (t, V) chain: one M x M Bloch block per wave index.
 
-    The per-k solves are independent; jobs > 1 maps them over a thread
-    pool with slot writes, so the output never depends on scheduling.
+    All N blocks are built as one (N, M, M) array and solved by a single
+    batched eigvalsh.  `jobs` is accepted and ignored.
     """
     onsite = np.asarray(onsite, dtype=float)
     if onsite.shape != (m,):
@@ -223,21 +229,8 @@ def band_structure(t: float, m: int, n: int, onsite, jobs: int = 1) -> BandStruc
     if m <= 0 or n <= 0:
         raise ShapeMismatch("cell size and period count must be positive")
     k_values = 2.0 * np.pi * np.arange(n) / (n * m)
-    bands = np.empty((n, m))
-
-    def solve(j):
-        theta = 2.0 * np.pi * j / n
-        return np.linalg.eigvalsh(bloch_block(t, m, theta, onsite))
-
-    if jobs <= 1:
-        for j in range(n):
-            bands[j] = solve(j)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for j, row in enumerate(pool.map(solve, range(n))):
-                bands[j] = row
+    thetas = 2.0 * np.pi * np.arange(n) / n
+    bands = np.linalg.eigvalsh(bloch_blocks(t, m, thetas, onsite))
     return BandStructure(t, m, n, onsite, k_values, bands)
 
 

@@ -8,8 +8,8 @@
     zakspace diffract run|verify config.json
     zakspace suite all
 
-Shared flags: --seed (all randomness), --jobs (worker threads of the
-band solves in `bands run|check`; never changes output bytes), --tol
+Shared flags: --seed (all randomness), --jobs (accepted and ignored: no
+command uses workers, so output bytes never depend on it), --tol
 (replaces the tolerance of every check in a verify report; finite and
 positive), --out (write the artifact to a file instead of stdout).
 Relative input paths are also tried under $ZAKSPACE_DATA.  Exit codes: 0
@@ -133,7 +133,21 @@ def _lattice_samples(doc) -> np.ndarray:
         raise ConfigError("lattice mode needs 'cells'")
     samples = decode_vector(doc["samples"])
     shape = doc.get("sample_shape")
-    return samples.reshape(shape) if shape else samples
+    try:
+        return samples.reshape(shape) if shape else samples
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"sample_shape {shape} does not fit {samples.size} samples") from err
+
+
+def _numbers(doc, key: str, shape=None) -> np.ndarray:
+    """doc[key] as a float array of the given shape, or ConfigError."""
+    try:
+        value = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"'{key}' must be numeric") from err
+    if shape is not None and value.shape != shape:
+        raise ConfigError(f"'{key}' must have shape {shape}, got {value.shape}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +251,16 @@ def _cmd_poisson_check(args) -> int:
     return _verdict([check(f"poisson_{mode}", group, sub, fs, dual)], args)
 
 
-def _band_model(doc, jobs: int = 1) -> bloch.BandStructure:
+def _band_model(doc) -> bloch.BandStructure:
     for key in ("t", "M", "N", "V"):
         if key not in doc:
             raise ConfigError(f"band model needs '{key}'")
-    return bloch.band_structure(
-        float(doc["t"]), int(doc["M"]), int(doc["N"]), doc["V"], jobs=jobs
-    )
+    return bloch.band_structure(float(doc["t"]), int(doc["M"]), int(doc["N"]), doc["V"])
 
 
 def _cmd_bands_run(args) -> int:
     doc = _load_config(args.config, "bands run")
-    bs = _band_model(doc, jobs=args.jobs)
+    bs = _band_model(doc)
     lines = ["k_index,k_value,band_index,energy"]
     for j in range(bs.periods):
         for band in range(bs.cell_size):
@@ -261,7 +273,7 @@ def _cmd_bands_run(args) -> int:
 
 def _cmd_bands_check(args) -> int:
     doc = _load_config(args.config, "bands check")
-    bs = _band_model(doc, jobs=args.jobs)
+    bs = _band_model(doc)
     return _verdict([
         suite.check_band_union("band_union_vs_dense", bs),
         suite.check_bands_even("bands_even_in_k", bs),
@@ -269,20 +281,24 @@ def _cmd_bands_check(args) -> int:
 
 
 def _euclid_spec(doc) -> euclid.IsometryGroupSpec:
-    if "dim" not in doc or "generators" not in doc:
+    if not isinstance(doc, dict) or "dim" not in doc or "generators" not in doc:
         raise ConfigError("isometry spec needs 'dim' and 'generators'")
-    gens = [
-        euclid.IsometryElement(np.asarray(g["Q"], dtype=float), np.asarray(g["c"], dtype=float))
-        for g in doc["generators"]
-    ]
     tr_doc = doc.get("truncation", {})
-    tr = euclid.Truncation(
-        word_length=int(tr_doc.get("word_length", 24)),
-        radius=float(tr_doc.get("radius", 50.0)),
-        max_elements=int(tr_doc.get("max_elements", 20000)),
-        tol=float(tr_doc.get("tol", 1e-9)),
-    )
-    return euclid.IsometryGroupSpec(int(doc["dim"]), gens, tr)
+    try:
+        gens = [
+            euclid.IsometryElement(np.asarray(g["Q"], dtype=float), np.asarray(g["c"], dtype=float))
+            for g in doc["generators"]
+        ]
+        tr = euclid.Truncation(
+            word_length=int(tr_doc.get("word_length", 24)),
+            radius=float(tr_doc.get("radius", 50.0)),
+            max_elements=int(tr_doc.get("max_elements", 20000)),
+            tol=float(tr_doc.get("tol", 1e-9)),
+        )
+        dim = int(doc["dim"])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed isometry spec: {err!r}") from err
+    return euclid.IsometryGroupSpec(dim, gens, tr)
 
 
 def _cmd_euclid_generate(args) -> int:
@@ -321,17 +337,22 @@ def _diffract_setup(doc):
     elements = gen.elements
     group = euclid.isometry_finite_group(elements)
     dual = irreps(group)
-    points = np.asarray(doc["points"], dtype=float)
-    weights = np.asarray(doc.get("weights", np.ones(len(points))), dtype=float)
-    density = np.asarray(doc["density"], dtype=float)
-    k = np.asarray(doc["k"], dtype=float)
+    points = _numbers(doc, "points")
+    weights = _numbers(doc, "weights") if "weights" in doc else np.ones(points.shape[:1])
+    density = _numbers(doc, "density")
+    k = _numbers(doc, "k", (3,))
     n = decode_vector(doc["n"])
-    omega, c_light = float(doc["omega"]), float(doc["c_light"])
-    setups = []
-    for s0 in doc["s0_list"]:
-        s0 = np.asarray(s0, dtype=float)
-        s0 = s0 / np.linalg.norm(s0)
-        setups.append(radiation.ScatteringSetup(points, weights, density, omega, c_light, s0))
+    if n.shape != (3,):
+        raise ConfigError(f"'n' must be a 3-vector, got shape {n.shape}")
+    omega, c_light = float(_numbers(doc, "omega", ())), float(_numbers(doc, "c_light", ()))
+    s0_list = _numbers(doc, "s0_list")
+    norms = np.array([np.linalg.norm(s0) for s0 in s0_list]) if s0_list.ndim == 2 else None
+    if norms is None or not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ConfigError("'s0_list' must be a list of finite nonzero vectors")
+    setups = [
+        radiation.ScatteringSetup(points, weights, density, omega, c_light, s0 / norm)
+        for s0, norm in zip(s0_list, norms)
+    ]
     return elements, dual, k, n, setups
 
 
@@ -358,7 +379,7 @@ def _cmd_diffract_verify(args) -> int:
 
 
 def _cmd_suite_all(args) -> int:
-    report = suite.run_suite(seed=args.seed, jobs=args.jobs)
+    report = suite.run_suite(seed=args.seed)
     _emit(report, args.out)
     return 0 if report["all_pass"] else 1
 
@@ -369,7 +390,7 @@ def _cmd_suite_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads of band solves (outputs unchanged)")
+    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored (no command uses workers)")
     common.add_argument("--tol", type=float, default=None, help="tolerance of every check (finite, > 0)")
     common.add_argument("--out", type=str, default=None, help="write output to this path")
 

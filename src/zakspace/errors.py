@@ -38,7 +38,7 @@ class NotHomomorphism(ZakspaceError):
 class NonpositiveWeight(ZakspaceError):
     def __init__(self, x, value):
         self.point = x
-        super().__init__(f"weight at point {x} is {value}; weights must be > 0")
+        super().__init__(f"weight at point {x} is {value}; weights must be finite and > 0")
 
 
 class EmptySet(ZakspaceError):

@@ -33,11 +33,10 @@ class IsometryElement:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
-        d = self.c.shape[0]
-        if self.q.shape != (d, d):
-            raise DimensionMismatch(f"Q is {self.q.shape}, c has length {d}")
-        if np.max(np.abs(self.q @ self.q.T - np.eye(d))) > 1e-12:
-            raise DimensionMismatch("Q is not orthogonal to 1e-12")
+        if self.c.ndim != 1 or self.q.shape != (self.c.shape[0],) * 2:
+            raise DimensionMismatch(f"Q is {self.q.shape}, c has shape {self.c.shape}")
+        if _isometry_defects(self.q, self.c):
+            raise DimensionMismatch(NOT_ISOMETRY)
 
     @property
     def dim(self) -> int:
@@ -48,6 +47,37 @@ class IsometryElement:
 
     def __repr__(self):
         return f"IsometryElement(Q={np.round(self.q, 6).tolist()}, c={np.round(self.c, 6).tolist()})"
+
+
+NOT_ISOMETRY = "Q must be orthogonal to 1e-12, and Q and c finite"
+
+
+def _isometry_defects(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per stacked (Q, c): True where an entry is not finite or Q is not orthogonal to 1e-12."""
+    finite = np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(c).all(axis=-1)
+    if not finite.all():
+        q = np.where(finite[..., None, None], q, 0.0)  # flagged already; keeps matmul quiet
+    gram = np.abs(q @ np.swapaxes(q, -1, -2) - np.eye(c.shape[-1]))
+    return ~finite | (gram.max(axis=(-2, -1)) > 1e-12)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, rounded exactly as np.linalg.norm of one vector."""
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis, or -1 where there is none."""
+    if mask.shape[-1] == 0:
+        return np.full(mask.shape[:-1], -1)
+    return np.where(mask.any(axis=-1), np.argmax(mask, axis=-1), -1)
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True in a 1-d mask, or its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
 
 
 def identity_isometry(dim: int) -> IsometryElement:
@@ -162,23 +192,44 @@ class GeneratedGroup:
         return len(self.elements)
 
 
-class _ElementIndex:
-    """Vectorized nearest-element lookup on flattened (Q, c) rows."""
+def _close_pairs(rows: np.ndarray, cands: np.ndarray, tol: float):
+    """All (k, r) with norm(rows[r] - cands[k]) < tol, rows and candidates flattened.
 
-    def __init__(self, dim: int, tol: float):
-        self.rows = np.empty((0, dim * dim + dim))
-        self.tol = tol
+    A pair within tol in norm is within tol in every coordinate, so each
+    block of candidates is narrowed one coordinate at a time, last
+    coordinate first, and the norm is taken on the survivors only.
+    """
+    step = max(1, (1 << 18) // max(len(rows), 1))
+    ks, rs = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for lo in range(0, len(cands), step):
+        block = cands[lo : lo + step]
+        k, r = np.nonzero(np.abs(rows[None, :, -1] - block[:, None, -1]) < tol)
+        for col in range(cands.shape[1] - 1):
+            keep = np.abs(rows[r, col] - block[k, col]) < tol
+            k, r = k[keep], r[keep]
+        keep = np.linalg.norm(rows[r] - block[k], axis=1) < tol
+        ks.append(k[keep] + lo)
+        rs.append(r[keep])
+    return np.concatenate(ks), np.concatenate(rs)
 
-    def find(self, e: IsometryElement) -> int:
-        if self.rows.shape[0] == 0:
-            return -1
-        d = np.linalg.norm(self.rows - e.flat()[None, :], axis=1)
-        j = int(np.argmin(d))
-        return j if d[j] < self.tol else -1
 
-    def add(self, e: IsometryElement) -> int:
-        self.rows = np.vstack([self.rows, e.flat()[None, :]])
-        return self.rows.shape[0] - 1
+def _accept(rows: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the candidates kept in order: a candidate is dropped when it
+    lies within tol of a row or of a candidate kept before it."""
+    known = np.zeros(len(cands), dtype=bool)
+    known[_close_pairs(rows, cands, tol)[0]] = True
+    earlier = [[] for _ in range(len(cands))]
+    for k, j in zip(*(a.tolist() for a in _close_pairs(cands, cands, tol))):
+        if j < k:
+            earlier[k].append(j)
+    kept = np.zeros(len(cands), dtype=bool)
+    for k in range(len(cands)):
+        kept[k] = not known[k] and not any(kept[j] for j in earlier[k])
+    return np.flatnonzero(kept)
+
+
+def _flat_elements(rows: np.ndarray, dim: int) -> list:
+    return [IsometryElement(r[: dim * dim].reshape(dim, dim), r[dim * dim :]) for r in rows]
 
 
 def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
@@ -187,44 +238,45 @@ def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
     The generator set is symmetrized with inverses, so the closure is
     inverse-closed layer by layer and the finiteness flag is exact: it is
     set only when a whole layer produces nothing new strictly before the
-    word-length bound, with no element dropped by the radius cut.
+    word-length bound, with no element dropped by the radius cut.  Each
+    layer composes the whole frontier with every generator at once and
+    keeps the new candidates in frontier-major, generator-minor order;
+    elements are identified when their flattened (Q, c) lie within tol.
     """
     tr = spec.truncation
-    gens = []
-    gen_index = _ElementIndex(spec.dim, tr.tol)
-    for g in spec.generators:
-        for cand in (g, inverse(g)):
-            if gen_index.find(cand) < 0:
-                gen_index.add(cand)
-                gens.append(cand)
+    d = spec.dim
+    sym = np.array([h.flat() for g in spec.generators for h in (g, inverse(g))]).reshape(-1, d * d + d)
+    sym = sym[_accept(sym[:0], sym, tr.tol)]
+    gen_q = np.ascontiguousarray(sym[:, : d * d]).reshape(-1, d, d)
+    gen_c = np.ascontiguousarray(sym[:, d * d :])[:, :, None]
 
-    index = _ElementIndex(spec.dim, tr.tol)
-    elements = [identity_isometry(spec.dim)]
-    index.add(elements[0])
+    rows = identity_isometry(d).flat()[None, :]
     word_lengths = [0]
     radius_truncated = False
-    frontier = [elements[0]]
+    frontier = rows
     finite = False
     for layer in range(1, tr.word_length + 1):
-        new = []
-        for e in frontier:
-            for g in gens:
-                cand = compose(e, g)
-                if np.linalg.norm(cand.c) > tr.radius:
-                    radius_truncated = True
-                    continue
-                if index.find(cand) < 0:
-                    index.add(cand)
-                    elements.append(cand)
-                    word_lengths.append(layer)
-                    new.append(cand)
-                    if len(elements) > tr.max_elements:
-                        raise TruncationExceeded(elements)
-        if not new:
+        q = np.ascontiguousarray(frontier[:, None, : d * d]).reshape(-1, 1, d, d)
+        cand_q = (q @ gen_q[None]).reshape(-1, d, d)
+        cand_c = ((q @ gen_c[None])[..., 0] + frontier[:, None, d * d :]).reshape(-1, d)
+        bad = _first_true(_isometry_defects(cand_q, cand_c))
+        cut = _norms(cand_c[:bad]) > tr.radius
+        radius_truncated = radius_truncated or bool(cut.any())
+        live = np.flatnonzero(~cut)
+        flats = np.concatenate([cand_q[live].reshape(len(live), d * d), cand_c[live]], axis=1)
+        new = flats[_accept(rows, flats, tr.tol)]
+        if len(new) and len(rows) + len(new) > tr.max_elements:
+            keep = max(tr.max_elements + 1 - len(rows), 1)  # the cap is checked after each add
+            raise TruncationExceeded(_flat_elements(np.concatenate([rows, new[:keep]]), d))
+        if bad < len(cand_q):
+            raise DimensionMismatch(NOT_ISOMETRY)
+        if len(new) == 0:
             finite = not radius_truncated
             break
+        rows = np.concatenate([rows, new])
+        word_lengths += [layer] * len(new)
         frontier = new
-    return GeneratedGroup(elements, finite, word_lengths, radius_truncated)
+    return GeneratedGroup(_flat_elements(rows, d), finite, word_lengths, radius_truncated)
 
 
 def translation_subgroup(elements, tol: float = IDENT_TOL) -> list:
@@ -395,22 +447,25 @@ class _TorusReducer:
     def __init__(self, basis: np.ndarray | None):
         self.basis = basis  # (dim, rank) columns, or None for no folding
         self.pinv = None if basis is None else np.linalg.pinv(basis)
+        if basis is None:
+            self.offsets = np.zeros((1, 1))  # broadcasts as the zero vector
+        else:
+            self.offsets = np.array([
+                basis @ np.array(off, dtype=float)
+                for off in iproduct((-1, 0, 1), repeat=basis.shape[1])
+            ])
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
+    def reduce(self, vecs: np.ndarray) -> np.ndarray:
+        """Reduce each vector along the last axis."""
         if self.basis is None:
-            return vec
-        coords = self.pinv @ vec
-        return vec - self.basis @ np.round(coords)
+            return vecs
+        coords = (self.pinv @ vecs[..., None])[..., 0]
+        return vecs - (self.basis @ np.round(coords)[..., None])[..., 0]
 
-    def same(self, a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-        if self.basis is None:
-            return bool(np.linalg.norm(a - b) < tol)
-        rank = self.basis.shape[1]
-        delta = a - b
-        for off in iproduct((-1, 0, 1), repeat=rank):
-            if np.linalg.norm(delta - self.basis @ np.array(off, dtype=float)) < tol:
-                return True
-        return False
+    def same(self, rows: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
+        """same[..., r]: rows[r] - vec lies within tol of a superlattice offset."""
+        delta = rows - vecs[..., None, :]
+        return np.any(_norms(delta[..., None, :] - self.offsets) < tol, axis=-1)
 
 
 def _translation_basis(translations, dim: int, tol: float) -> np.ndarray | None:
@@ -429,12 +484,68 @@ def _translation_basis(translations, dim: int, tol: float) -> np.ndarray | None:
     return np.column_stack(basis) if basis else None
 
 
-def _match_or_add(rows: list, vec: np.ndarray, reducer: _TorusReducer, tol: float) -> int:
-    for i, r in enumerate(rows):
-        if reducer.same(r, vec, tol):
-            return i
-    rows.append(vec)
-    return len(rows) - 1
+CANON_CHUNK = 64  # generated elements matched against the quotient rows per comparison
+
+
+class _QuotientElements:
+    """Isometries (Q, c mod the superlattice) as stacked arrays.
+
+    `find` compares candidates with every row at once: Q within tol in
+    Frobenius norm and c within tol of a superlattice translate.
+    """
+
+    def __init__(self, reducer: _TorusReducer, tol: float, q: np.ndarray, c: np.ndarray):
+        self.reducer = reducer
+        self.tol = tol
+        self.q = q
+        self.c = c
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def find(self, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """First matching row of each candidate (stacked like c), or -1."""
+        qdiff = self.q - q[..., None, :, :]
+        qdist = _norms(qdiff.reshape(*qdiff.shape[:-2], q.shape[-1] ** 2))
+        return _first((qdist < self.tol) & self.reducer.same(self.c, c, self.tol))
+
+    def products(self, i: int):
+        """Row i times every row, c reduced, and the first product that is not an isometry."""
+        q = self.q[i] @ self.q
+        c = (self.q[i] @ self.c[..., None])[..., 0] + self.c[i]
+        return q, self.reducer.reduce(c), _first_true(_isometry_defects(q, c))
+
+    def extend(self, q: np.ndarray, c: np.ndarray, cap: int, stop: int | None = None) -> bool:
+        """Append, in order, each of the first `stop` candidates that matches no row
+        (rows appended before it included); TruncationExceeded past `cap` rows."""
+        added = False
+        for j in np.flatnonzero(self.find(q[:stop], c[:stop]) < 0):
+            if self.find(q[j], c[j]) < 0:
+                self.q = np.concatenate([self.q, q[j][None]])
+                self.c = np.concatenate([self.c, c[j][None]])
+                added = True
+                if len(self) > cap:
+                    raise TruncationExceeded(self.elements())
+        return added
+
+    def elements(self) -> list:
+        return [IsometryElement(q, c) for q, c in zip(self.q, self.c)]
+
+
+def _product_table(model: _QuotientElements, not_closed: str) -> np.ndarray:
+    """Composition table of the rows; NotClosable(not_closed.format(i, j)) at the
+    first product that matches no row."""
+    n = len(model)
+    table = np.empty((n, n), dtype=int)
+    for i in range(n):
+        q, c, bad = model.products(i)
+        table[i] = model.find(q, c)
+        missing = _first_true(table[i] < 0)
+        if bad < n and bad <= missing:
+            raise DimensionMismatch(NOT_ISOMETRY)
+        if missing < n:
+            raise NotClosable(not_closed.format(i, missing))
+    return table
 
 
 def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: float = 1e-9) -> FiniteActionModel:
@@ -444,11 +555,14 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
     translation lattice (scaled by the periods) is divided out, so both
     elements and points live on a torus; NotClosable is raised when the
     rotation parts do not preserve that lattice or an orbit fails to
-    close under the identification.
+    close under the identification.  Each lookup compares its candidates
+    with all rows, over all superlattice offsets, in one array operation.
     """
     gen = generate(spec)
     reducer = _TorusReducer(None)
     elements = gen.elements
+    q = np.array([e.q for e in elements])
+    c = np.array([e.c for e in elements])
     if not gen.finite:
         if periods is None:
             raise NotClosable("infinite group: supply periods to fold the translations")
@@ -463,87 +577,58 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
             )
         super_basis = basis * np.asarray(periods, dtype=float)[None, :]
         # rotation parts must map the superlattice into itself
-        pinv = np.linalg.pinv(super_basis)
-        for e in elements:
-            for col in super_basis.T:
-                image = e.q @ col
-                coords = pinv @ image
-                if (
-                    np.max(np.abs(coords - np.round(coords))) > 1e-6
-                    or np.linalg.norm(super_basis @ coords - image) > 1e-6
-                ):
-                    raise NotClosable("rotation parts do not preserve the folded lattice")
+        images = q @ super_basis
+        coords = np.linalg.pinv(super_basis) @ images
+        if (
+            np.max(np.abs(coords - np.round(coords))) > 1e-6
+            or np.max(_norms(np.swapaxes(super_basis @ coords - images, 1, 2))) > 1e-6
+        ):
+            raise NotClosable("rotation parts do not preserve the folded lattice")
         reducer = _TorusReducer(super_basis)
 
         # canonicalize, dedupe, and re-close on the quotient
-        canon: list[IsometryElement] = []
-        for e in elements:
-            reduced = IsometryElement(e.q, reducer.reduce(e.c))
-            if _find_element(canon, reduced, reducer, tol) < 0:
-                canon.append(reduced)
+        cap = spec.truncation.max_elements
+        reduced = reducer.reduce(c)
+        canon = _QuotientElements(reducer, tol, q[:0], c[:0])
+        for lo in range(0, len(q), CANON_CHUNK):
+            canon.extend(q[lo : lo + CANON_CHUNK], reduced[lo : lo + CANON_CHUNK], cap)
         changed = True
         while changed:
             changed = False
-            for a in list(canon):
-                for b in list(canon):
-                    cand = compose(a, b)
-                    cand = IsometryElement(cand.q, reducer.reduce(cand.c))
-                    if _find_element(canon, cand, reducer, tol) < 0:
-                        canon.append(cand)
-                        changed = True
-                        if len(canon) > spec.truncation.max_elements:
-                            raise TruncationExceeded(canon)
-        elements = canon
+            for i in range(len(canon)):
+                prod_q, prod_c, bad = canon.products(i)
+                changed = canon.extend(prod_q, prod_c, cap, bad) or changed
+                if bad < len(prod_q):
+                    raise DimensionMismatch(NOT_ISOMETRY)
+        elements = canon.elements()
+        q, c = canon.q, canon.c
 
     # group table by composing and matching
-    n = len(elements)
-    table = np.empty((n, n), dtype=int)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            cand = compose(a, b)
-            cand = IsometryElement(cand.q, reducer.reduce(cand.c))
-            k = _find_element(elements, cand, reducer, tol)
-            if k < 0:
-                raise NotClosable(f"product of elements {i} and {j} left the set")
-            table[i, j] = k
-    group = make_group(table)
+    model = _QuotientElements(reducer, tol, q, c)
+    group = make_group(_product_table(model, "product of elements {} and {} left the set"))
 
     # orbit closure of the seeds
-    points: list[np.ndarray] = []
-    for seed in np.atleast_2d(np.asarray(seed_points, dtype=float)):
-        for e in elements:
-            _match_or_add(points, reducer.reduce(act(e, seed)), reducer, tol)
-    pts = np.array(points)
-    perm = np.empty((n, len(points)), dtype=int)
-    for i, e in enumerate(elements):
-        for x, p in enumerate(points):
-            image = reducer.reduce(act(e, p))
-            k = next(
-                (j for j, r in enumerate(points) if reducer.same(r, image, tol)), -1
-            )
-            if k < 0:
-                raise NotClosable(f"orbit point {p} escapes under element {i}")
-            perm[i, x] = k
+    seeds = np.atleast_2d(np.asarray(seed_points, dtype=float))
+    if seeds.shape[-1] != spec.dim:
+        raise DimensionMismatch(f"point of dimension {seeds.shape[-1]} under {spec.dim}-d isometry")
+    points = np.empty((0, spec.dim))
+    for seed in seeds:
+        for image in reducer.reduce(seed @ np.swapaxes(q, 1, 2) + c):
+            if _first(reducer.same(points, image, tol)) < 0:
+                points = np.concatenate([points, image[None]])
+    perm = np.empty((len(q), len(points)), dtype=int)
+    for i in range(len(q)):
+        images = reducer.reduce((points[:, None, :] @ q[i].T)[:, 0] + c[i])
+        perm[i] = _first(reducer.same(points, images, tol))
+        escaped = _first_true(perm[i] < 0)
+        if escaped < len(points):
+            raise NotClosable(f"orbit point {points[escaped]} escapes under element {i}")
     action = make_action(group, perm)
-    return FiniteActionModel(group, action, pts, elements)
-
-
-def _find_element(elements, e: IsometryElement, reducer: _TorusReducer, tol: float) -> int:
-    for i, other in enumerate(elements):
-        if np.linalg.norm(other.q - e.q) < tol and reducer.same(other.c, e.c, tol):
-            return i
-    return -1
+    return FiniteActionModel(group, action, points, elements)
 
 
 def isometry_finite_group(elements, tol: float = 1e-9) -> FiniteGroup:
     """Composition table of an explicit finite element list."""
-    reducer = _TorusReducer(None)
-    n = len(elements)
-    table = np.empty((n, n), dtype=int)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            k = _find_element(elements, compose(a, b), reducer, tol)
-            if k < 0:
-                raise NotClosable(f"element list not closed at ({i},{j})")
-            table[i, j] = k
-    return make_group(table)
+    q, c = np.array([e.q for e in elements]), np.array([e.c for e in elements])
+    model = _QuotientElements(_TorusReducer(None), tol, q, c)
+    return make_group(_product_table(model, "element list not closed at ({},{})"))

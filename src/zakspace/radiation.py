@@ -68,13 +68,20 @@ class ScatteringSetup:
         self.weights = np.asarray(self.weights, dtype=float)
         self.density = np.asarray(self.density, dtype=float)
         self.s0 = np.asarray(self.s0, dtype=float)
-        m = self.points.shape[0]
-        if self.points.shape != (m, 3):
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ShapeMismatch("points must be (m, 3)")
+        m = self.points.shape[0]
         if self.weights.shape != (m,) or self.density.shape != (m,):
             raise ShapeMismatch("weights and density must match the points")
+        if self.s0.shape != (3,):
+            raise ShapeMismatch("s0 must be a 3-vector")
+        arrays = (self.points, self.weights, self.density, self.s0)
+        if not (all(np.isfinite(a).all() for a in arrays) and np.isfinite([self.omega, self.c_light]).all()):
+            raise ShapeMismatch("points, weights, density, omega, c_light and s0 must be finite")
         if not np.all(self.weights > 0):
             raise ShapeMismatch("quadrature weights must be positive")
+        if not self.c_light > 0:
+            raise ShapeMismatch(f"c_light must be positive, got {self.c_light}")
         if abs(np.linalg.norm(self.s0) - 1.0) > 1e-12:
             raise ShapeMismatch(f"s0 must be a unit vector, |s0| = {np.linalg.norm(self.s0)}")
 
@@ -102,15 +109,15 @@ def plane_wave(k, n, points, weights=None) -> VectorField:
 
 def _point_permutation(points: np.ndarray, g: IsometryElement, tol: float = 1e-9) -> np.ndarray:
     """index array p with points[p[i]] = g^-1 points[i], or SampleSetNotClosed."""
-    ginv = inverse(g)
+    images = act(inverse(g), points[:, None, :])[:, 0]  # one (1, 3) row per point, as act on one point
     perm = np.empty(points.shape[0], dtype=int)
-    for i, x in enumerate(points):
-        y = act(ginv, x)
-        d = np.linalg.norm(points - y[None, :], axis=1)
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            raise SampleSetNotClosed(x)
-        perm[i] = j
+    step = max(1, (1 << 20) // max(points.shape[0], 1))  # rows of the distance matrix per block
+    for lo in range(0, points.shape[0], step):
+        dist = np.linalg.norm(points[None, :, :] - images[lo : lo + step, None, :], axis=2)
+        perm[lo : lo + step] = np.argmin(dist, axis=1)
+        escaped = np.flatnonzero(dist[np.arange(len(dist)), perm[lo : lo + step]] > tol)
+        if escaped.size:
+            raise SampleSetNotClosed(points[lo + escaped[0]])
     return perm
 
 
@@ -140,15 +147,20 @@ def density_fourier(points, weights, density, ell) -> np.ndarray | complex:
     return complex(np.sum(np.asarray(weights) * np.asarray(density) * phases))
 
 
+def _moved_values(field: VectorField, elements, perms) -> np.ndarray:
+    """(g E)(x) for every element: array (|G|, m, 3)."""
+    return np.stack([field.values[perm] @ g.q.T for g, perm in zip(elements, perms)])
+
+
+def _project(moved: np.ndarray, irrep_matrices) -> np.ndarray:
+    """sum_g (g E)(x) sigma(g)* from the moved fields: array (m, d, d, 3)."""
+    return np.einsum("gxi,gba->xabi", moved, np.asarray(irrep_matrices).conj())
+
+
 def symmetry_projection(field: VectorField, elements, irrep_matrices) -> np.ndarray:
     """P^sigma E (x) = sum_g (g E)(x) sigma(g)*: array (m, d, d, 3)."""
-    m = field.points.shape[0]
-    d = irrep_matrices.shape[1]
-    out = np.zeros((m, d, d, 3), dtype=complex)
-    for g_idx, g in enumerate(elements):
-        moved = act_field(g, field)
-        out += np.einsum("xi,ab->xabi", moved.values, irrep_matrices[g_idx].conj().T)
-    return out
+    perms = [_point_permutation(field.points, g) for g in elements]
+    return _project(_moved_values(field, elements, perms), irrep_matrices)
 
 
 @dataclass
@@ -173,8 +185,8 @@ def symmetry_projected_transform(group_spec, dual: DualObject, k, n, setup: Scat
         raise SizeMismatch("element list does not match the dual's group order")
     field = plane_wave(k, n, setup.points, setup.weights)
     density = setup.density
-    for g in elements:
-        perm = _point_permutation(field.points, g)
+    perms = [_point_permutation(field.points, g) for g in elements]
+    for perm in perms:
         if np.max(np.abs(density[perm] - density)) > 1e-10 * max(1.0, float(np.max(np.abs(density)))):
             raise DensityNotInvariant("density is not constant on group orbits")
 
@@ -182,8 +194,9 @@ def symmetry_projected_transform(group_spec, dual: DualObject, k, n, setup: Scat
     phases = np.exp(-1j * setup.wavenumber * (field.points @ setup.s0))
     per_irrep = {}
     combined = np.zeros(3, dtype=complex)
+    moved = _moved_values(field, elements, perms)
     for s in dual.irreps:
-        projected = symmetry_projection(field, elements, s.matrices)
+        projected = _project(moved, s.matrices)
         transform = np.einsum(
             "x,x,x,xabi->abi", setup.weights, density + 0j, phases, projected
         )

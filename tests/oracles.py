@@ -1,0 +1,260 @@
+"""Brute-force loop versions of the batched periodic-layer code.
+
+Each function here is the element-by-element loop that the library ran
+before it was batched: one Bloch block and one eigvalsh per wave index,
+one nearest-point search per sample point, a sequential breadth-first
+closure that matches every candidate against every element found so far,
+and the scan lookups of the torus folding.  The tests require the library
+to reproduce them exactly (bands to 1e-12).
+"""
+
+from __future__ import annotations
+
+from itertools import product as iproduct
+
+import numpy as np
+
+from zakspace.errors import NotClosable, SampleSetNotClosed, TruncationExceeded
+from zakspace.euclid import (
+    GeneratedGroup,
+    IsometryElement,
+    _translation_basis,
+    act,
+    compose,
+    identity_isometry,
+    inverse,
+    translation_subgroup,
+)
+from zakspace.groups import make_group
+
+
+# ---------------------------------------------------------------------------
+# bloch
+
+
+def bloch_block_loop(t: float, m: int, theta: float, onsite) -> np.ndarray:
+    h = np.zeros((m, m), dtype=complex)
+    h[np.arange(m), np.arange(m)] = np.asarray(onsite, dtype=float)
+    for a in range(m - 1):
+        h[a, a + 1] += -t
+        h[a + 1, a] += -t
+    h[m - 1, 0] += -t * np.exp(-1j * theta)
+    h[0, m - 1] += -t * np.exp(1j * theta)
+    return h
+
+
+def bands_loop(t: float, m: int, n: int, onsite) -> np.ndarray:
+    onsite = np.asarray(onsite, dtype=float)
+    bands = np.empty((n, m))
+    for j in range(n):
+        bands[j] = np.linalg.eigvalsh(bloch_block_loop(t, m, 2.0 * np.pi * j / n, onsite))
+    return bands
+
+
+# ---------------------------------------------------------------------------
+# radiation
+
+
+def point_permutation_loop(points: np.ndarray, g: IsometryElement, tol: float = 1e-9) -> np.ndarray:
+    ginv = inverse(g)
+    perm = np.empty(points.shape[0], dtype=int)
+    for i, x in enumerate(points):
+        y = act(ginv, x)
+        d = np.linalg.norm(points - y[None, :], axis=1)
+        j = int(np.argmin(d))
+        if d[j] > tol:
+            raise SampleSetNotClosed(x)
+        perm[i] = j
+    return perm
+
+
+# ---------------------------------------------------------------------------
+# euclid
+
+
+class _ElementIndex:
+    def __init__(self, dim: int, tol: float):
+        self.rows = np.empty((0, dim * dim + dim))
+        self.tol = tol
+
+    def find(self, e: IsometryElement) -> int:
+        if self.rows.shape[0] == 0:
+            return -1
+        d = np.linalg.norm(self.rows - e.flat()[None, :], axis=1)
+        j = int(np.argmin(d))
+        return j if d[j] < self.tol else -1
+
+    def add(self, e: IsometryElement) -> None:
+        self.rows = np.vstack([self.rows, e.flat()[None, :]])
+
+
+def generate_sequential(spec) -> GeneratedGroup:
+    tr = spec.truncation
+    gens = []
+    gen_index = _ElementIndex(spec.dim, tr.tol)
+    for g in spec.generators:
+        for cand in (g, inverse(g)):
+            if gen_index.find(cand) < 0:
+                gen_index.add(cand)
+                gens.append(cand)
+
+    index = _ElementIndex(spec.dim, tr.tol)
+    elements = [identity_isometry(spec.dim)]
+    index.add(elements[0])
+    word_lengths = [0]
+    radius_truncated = False
+    frontier = [elements[0]]
+    finite = False
+    for layer in range(1, tr.word_length + 1):
+        new = []
+        for e in frontier:
+            for g in gens:
+                cand = compose(e, g)
+                if np.linalg.norm(cand.c) > tr.radius:
+                    radius_truncated = True
+                    continue
+                if index.find(cand) < 0:
+                    index.add(cand)
+                    elements.append(cand)
+                    word_lengths.append(layer)
+                    new.append(cand)
+                    if len(elements) > tr.max_elements:
+                        raise TruncationExceeded(elements)
+        if not new:
+            finite = not radius_truncated
+            break
+        frontier = new
+    return GeneratedGroup(elements, finite, word_lengths, radius_truncated)
+
+
+class _TorusReducer:
+    def __init__(self, basis):
+        self.basis = basis
+        self.pinv = None if basis is None else np.linalg.pinv(basis)
+
+    def reduce(self, vec):
+        if self.basis is None:
+            return vec
+        return vec - self.basis @ np.round(self.pinv @ vec)
+
+    def same(self, a, b, tol) -> bool:
+        if self.basis is None:
+            return bool(np.linalg.norm(a - b) < tol)
+        delta = a - b
+        for off in iproduct((-1, 0, 1), repeat=self.basis.shape[1]):
+            if np.linalg.norm(delta - self.basis @ np.array(off, dtype=float)) < tol:
+                return True
+        return False
+
+
+def _find_element(elements, e, reducer, tol) -> int:
+    for i, other in enumerate(elements):
+        if np.linalg.norm(other.q - e.q) < tol and reducer.same(other.c, e.c, tol):
+            return i
+    return -1
+
+
+def _match_or_add(rows: list, vec, reducer, tol) -> int:
+    for i, r in enumerate(rows):
+        if reducer.same(r, vec, tol):
+            return i
+    rows.append(vec)
+    return len(rows) - 1
+
+
+def to_finite_action_scan(spec, seed_points, periods=None, tol: float = 1e-9):
+    """(elements, table, perm, points) of the finite model, by scanning."""
+    gen = generate_sequential(spec)
+    reducer = _TorusReducer(None)
+    elements = gen.elements
+    if not gen.finite:
+        if periods is None:
+            raise NotClosable("infinite group: supply periods to fold the translations")
+        trans = translation_subgroup(elements, spec.truncation.tol)
+        basis = _translation_basis(trans, spec.dim, tol)
+        if basis is None:
+            raise NotClosable("no translations found to fold within the truncation")
+        periods = list(periods)
+        if len(periods) != basis.shape[1]:
+            raise NotClosable("periods do not match the translations")
+        super_basis = basis * np.asarray(periods, dtype=float)[None, :]
+        pinv = np.linalg.pinv(super_basis)
+        for e in elements:
+            for col in super_basis.T:
+                image = e.q @ col
+                coords = pinv @ image
+                if (
+                    np.max(np.abs(coords - np.round(coords))) > 1e-6
+                    or np.linalg.norm(super_basis @ coords - image) > 1e-6
+                ):
+                    raise NotClosable("rotation parts do not preserve the folded lattice")
+        reducer = _TorusReducer(super_basis)
+        canon = []
+        for e in elements:
+            reduced = IsometryElement(e.q, reducer.reduce(e.c))
+            if _find_element(canon, reduced, reducer, tol) < 0:
+                canon.append(reduced)
+        changed = True
+        while changed:
+            changed = False
+            for a in list(canon):
+                for b in list(canon):
+                    cand = compose(a, b)
+                    cand = IsometryElement(cand.q, reducer.reduce(cand.c))
+                    if _find_element(canon, cand, reducer, tol) < 0:
+                        canon.append(cand)
+                        changed = True
+                        if len(canon) > spec.truncation.max_elements:
+                            raise TruncationExceeded(canon)
+        elements = canon
+
+    n = len(elements)
+    table = np.empty((n, n), dtype=int)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            cand = compose(a, b)
+            cand = IsometryElement(cand.q, reducer.reduce(cand.c))
+            k = _find_element(elements, cand, reducer, tol)
+            if k < 0:
+                raise NotClosable(f"product of elements {i} and {j} left the set")
+            table[i, j] = k
+
+    points = []
+    for seed in np.atleast_2d(np.asarray(seed_points, dtype=float)):
+        for e in elements:
+            _match_or_add(points, reducer.reduce(act(e, seed)), reducer, tol)
+    perm = np.empty((n, len(points)), dtype=int)
+    for i, e in enumerate(elements):
+        for x, p in enumerate(points):
+            image = reducer.reduce(act(e, p))
+            k = next((j for j, r in enumerate(points) if reducer.same(r, image, tol)), -1)
+            if k < 0:
+                raise NotClosable(f"orbit point {p} escapes under element {i}")
+            perm[i, x] = k
+    return elements, table, perm, np.array(points)
+
+
+def isometry_table_scan(elements, tol: float = 1e-9) -> np.ndarray:
+    reducer = _TorusReducer(None)
+    n = len(elements)
+    table = np.empty((n, n), dtype=int)
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            k = _find_element(elements, compose(a, b), reducer, tol)
+            if k < 0:
+                raise NotClosable(f"element list not closed at ({i},{j})")
+            table[i, j] = k
+    make_group(table)
+    return table
+
+
+def symmetry_projection_loop(field, elements, irrep_matrices) -> np.ndarray:
+    from zakspace.radiation import act_field
+
+    m = field.points.shape[0]
+    d = irrep_matrices.shape[1]
+    out = np.zeros((m, d, d, 3), dtype=complex)
+    for g_idx, g in enumerate(elements):
+        moved = act_field(g, field)
+        out += np.einsum("xi,ab->xabi", moved.values, irrep_matrices[g_idx].conj().T)
+    return out

@@ -39,6 +39,12 @@ def test_nonpositive_weight():
         make_action(cyclic_group(2), [[0, 1], [1, 0]], weights=[1.0, 0.0])
 
 
+def test_infinite_weight_rejected():
+    with pytest.raises(NonpositiveWeight) as err:
+        make_action(cyclic_group(2), [[0, 1], [1, 0]], weights=[1.0, np.inf])
+    assert err.value.point == 1
+
+
 def test_transporter_swap():
     action = z2_swap()
     assert transporter(action, [0], [1]) == [1]

@@ -199,3 +199,17 @@ def test_band_structure_parallel_map_identical():
     bs1 = band_structure(t=1.0, m=2, n=16, onsite=[0.3, -0.3], jobs=1)
     bs4 = band_structure(t=1.0, m=2, n=16, onsite=[0.3, -0.3], jobs=4)
     assert np.array_equal(bs1.bands, bs4.bands)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (2, 1), (2, 6), (3, 9), (4, 64)])
+def test_band_structure_matches_block_loop_oracle(m, n):
+    from oracles import bands_loop, bloch_block_loop
+    from zakspace.bloch import bloch_block
+
+    rng = np.random.default_rng(m * 100 + n)
+    t, onsite = float(rng.normal()), rng.normal(size=m)
+    bs = band_structure(t, m, n, onsite)
+    assert bs.bands.shape == (n, m)
+    assert np.max(np.abs(bs.bands - bands_loop(t, m, n, onsite))) <= 1e-12
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    assert np.array_equal(bloch_block(t, m, theta, onsite), bloch_block_loop(t, m, theta, onsite))

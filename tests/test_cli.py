@@ -283,3 +283,38 @@ def test_bad_vector_exit_2(tmp_path, capsys, f):
     assert main(["zak", "forward", write(tmp_path, "in.json", cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ConfigError"
+
+
+def lattice_doc(**changes):
+    return {"samples": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "cells": [2], **changes}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("zak forward", lattice_doc(sample_shape=[4])),
+        ("zak verify", lattice_doc(sample_shape=[4, 4])),
+        ("zak forward", lattice_doc(sample_shape="wide")),
+        ("diffract verify", {**diffract_doc(), "omega": "fast"}),
+        ("diffract verify", {**diffract_doc(), "c_light": [1.0, 2.0]}),
+        ("diffract verify", {**diffract_doc(), "points": [["a", 0.0, 0.0]] * 8}),
+        ("diffract verify", {**diffract_doc(), "density": "heavy"}),
+        ("diffract verify", {**diffract_doc(), "k": ["x", 0.1, 0.2]}),
+        ("diffract verify", {**diffract_doc(), "k": [0.4, 0.1]}),
+        ("diffract run", {**diffract_doc(), "omega": float("nan")}),
+        ("diffract run", {**diffract_doc(), "s0_list": [[0.0, 0.0, 0.0]]}),
+        ("diffract run", {**diffract_doc(), "points": float("inf")}),
+        ("euclid generate", {**c4_group_doc(), "generators": [{"Q": "rot", "c": [0.0, 0.0, 0.0]}]}),
+        ("euclid generate", {**c4_group_doc(), "generators": [{"Q": [[1.0, 0.0], [0.0, 1.0]]}]}),
+        ("euclid generate", {"dim": 2, "generators": [{"Q": [[1.0, 0.0], [0.0, 1.0]], "c": 0.0}]}),
+        ("euclid certify", {**c4_group_doc(), "truncation": {"radius": "far"}}),
+        ("diffract verify", {**diffract_doc(), "group": {"dim": 3, "generators": [[1.0]]}}),
+    ],
+)
+def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)  # json writes NaN and Infinity literals
+    assert main([*command.split(), path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "error" in json.loads(line)

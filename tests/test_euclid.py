@@ -297,3 +297,122 @@ def test_folding_rejects_incompatible_rotation():
     )
     with pytest.raises(NotClosable):
         to_finite_action(spec, [[0.2, 0.3]], periods=[2, 2])
+
+
+# ---------------------------------------------------------------------------
+# the batched closure and lookups against the sequential loops in oracles.py
+
+
+def p4_spec(word_length=10, radius=5.0):
+    return IsometryGroupSpec(
+        2,
+        [IsometryElement(rotation_2d(np.pi / 2), [0.0, 0.0]), translation([1.0, 0.0]), translation([0.0, 1.0])],
+        Truncation(word_length=word_length, radius=radius, max_elements=8000),
+    )
+
+
+def rotated_pm_spec(angle):
+    r = rotation_2d(angle)
+    mirror = IsometryElement(r @ np.diag([1.0, -1.0]) @ r.T, [0.0, 0.0])
+    return IsometryGroupSpec(
+        2,
+        [translation(r[:, 0]), translation(r[:, 1]), mirror],
+        Truncation(word_length=12, radius=6.5, max_elements=4000),
+    )
+
+
+def d6_spec():
+    return IsometryGroupSpec(
+        3,
+        [
+            IsometryElement(rotation_z(np.pi / 3), [0.0, 0.0, 0.0]),
+            IsometryElement(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 0.0]),
+        ],
+    )
+
+
+def oracle_specs():
+    from zakspace.fixtures import certificate_specs
+
+    specs = {"p4": p4_spec(), "d6": d6_spec()}
+    specs.update({f"pm_{a}": rotated_pm_spec(a) for a in (0.0, 0.7, 2.1)})
+    specs.update(certificate_specs())
+    return specs
+
+
+def assert_same_elements(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.c, b.c)
+
+
+@pytest.mark.parametrize("name", sorted(oracle_specs()))
+def test_generate_matches_sequential_oracle(name):
+    from oracles import generate_sequential
+
+    spec = oracle_specs()[name]
+    got, expected = generate(spec), generate_sequential(spec)
+    assert_same_elements(got.elements, expected.elements)
+    assert got.word_lengths == expected.word_lengths
+    assert (got.finite, got.radius_truncated) == (expected.finite, expected.radius_truncated)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 40])
+def test_truncation_exceeded_matches_sequential_oracle(cap):
+    from oracles import generate_sequential
+
+    spec = p4_spec(word_length=6, radius=4.0)
+    spec.truncation.max_elements = cap
+    with pytest.raises(TruncationExceeded) as got:
+        generate(spec)
+    with pytest.raises(TruncationExceeded) as expected:
+        generate_sequential(spec)
+    assert_same_elements(got.value.partial, expected.value.partial)
+
+
+@pytest.mark.parametrize(
+    "periods, seeds", [([2, 2], [[0.21, 0.33], [0.1, 0.37]]), ([3, 3], [[0.21, 0.33]])]
+)
+def test_to_finite_action_matches_scan_oracle(periods, seeds):
+    from oracles import to_finite_action_scan
+
+    spec = p4_spec(word_length=8, radius=4.0)
+    model = to_finite_action(spec, seeds, periods=periods)
+    elements, table, perm, points = to_finite_action_scan(spec, seeds, periods=periods)
+    assert model.group.order == 4 * periods[0] * periods[1]
+    assert_same_elements(model.elements, elements)
+    assert np.array_equal(model.group.table, table)
+    assert np.array_equal(model.action.perm, perm)
+    assert np.array_equal(model.points, points)
+
+
+def test_isometry_finite_group_matches_scan_oracle():
+    from oracles import isometry_table_scan
+
+    elements = generate(d6_spec()).elements
+    assert np.array_equal(isometry_finite_group(elements).table, isometry_table_scan(elements))
+
+
+@pytest.mark.parametrize(
+    "q, c",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf]),
+    ],
+)
+def test_isometry_rejects_non_finite(q, c):
+    with pytest.raises(DimensionMismatch):
+        IsometryElement(np.array(q), np.array(c))
+
+
+def test_drifting_generator_rejected_like_oracle():
+    # Q is orthogonal to 1e-12 but its square is not: both closures stop at layer 2
+    from oracles import generate_sequential
+
+    spec = IsometryGroupSpec(2, [IsometryElement(rotation_2d(0.3) * (1 + 4e-13), [0.0, 0.0])])
+    with pytest.raises(DimensionMismatch):
+        generate(spec)
+    with pytest.raises(DimensionMismatch):
+        generate_sequential(spec)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zakspace.duals import irreps
-from zakspace.errors import DensityNotInvariant, NotTransverse, SampleSetNotClosed
+from zakspace.errors import DensityNotInvariant, NotTransverse, SampleSetNotClosed, ShapeMismatch
 from zakspace.euclid import (
     IsometryElement,
     IsometryGroupSpec,
@@ -15,11 +15,13 @@ from zakspace.euclid import (
 from zakspace.radiation import (
     ScatteringSetup,
     VectorField,
+    _point_permutation,
     act_field,
     density_fourier,
     plane_wave,
     radiation_transform,
     symmetry_projected_transform,
+    symmetry_projection,
 )
 
 
@@ -251,3 +253,89 @@ def test_recovery_accepts_group_spec_directly():
     setup = ScatteringSetup(pts, np.ones(8), ring_density(), 2.0, 1.0, [0.0, 0.6, 0.8])
     report = symmetry_projected_transform(spec, dual, k, n, setup)
     assert report.residual < 1e-9
+
+
+def c4_setup_args():
+    return {
+        "points": two_ring_points(), "weights": np.ones(8), "density": ring_density(),
+        "omega": 2.2, "c_light": 1.0, "s0": np.array([0.0, 0.6, 0.8]),
+    }
+
+
+@pytest.mark.parametrize(
+    "key, index, bad",
+    [
+        ("points", (3, 1), np.nan),
+        ("weights", 2, np.inf),
+        ("density", 5, np.nan),
+        ("omega", None, np.nan),
+        ("c_light", None, np.inf),
+        ("s0", 0, np.nan),
+    ],
+)
+def test_scattering_setup_rejects_non_finite(key, index, bad):
+    args = c4_setup_args()
+    if index is None:
+        args[key] = bad
+    else:
+        args[key] = np.array(args[key], dtype=float)
+        args[key][index] = bad
+    with pytest.raises(ShapeMismatch):
+        ScatteringSetup(**args)
+
+
+@pytest.mark.parametrize("c_light", [0.0, -1.0])
+def test_scattering_setup_rejects_nonpositive_light_speed(c_light):
+    with pytest.raises(ShapeMismatch):
+        ScatteringSetup(**{**c4_setup_args(), "c_light": c_light})
+
+
+# ---------------------------------------------------------------------------
+# the batched permutations and projections against the loops in oracles.py
+
+
+def d6_orbit_points(rng):
+    spec = IsometryGroupSpec(
+        3,
+        [
+            IsometryElement(rotation_z(np.pi / 3), [0.0, 0.0, 0.0]),
+            IsometryElement(np.diag([1.0, -1.0, -1.0]), [0.0, 0.0, 0.0]),
+        ],
+    )
+    elements = generate(spec).elements
+    return elements, np.array([act(e, s) for s in rng.normal(size=(2, 3)) for e in elements])
+
+
+def test_point_permutation_matches_loop_oracle():
+    from oracles import point_permutation_loop
+
+    elements, pts = d6_orbit_points(np.random.default_rng(21))
+    for els, points in ((elements, pts), (c4_elements(), two_ring_points())):
+        for g in els:
+            assert np.array_equal(_point_permutation(points, g), point_permutation_loop(points, g))
+
+
+def test_point_permutation_open_set_raises_like_oracle():
+    from oracles import point_permutation_loop
+
+    elements, pts = d6_orbit_points(np.random.default_rng(22))
+    pts[7] += [0.0, 1e-6, 0.0]
+    for g in elements[1:]:
+        with pytest.raises(SampleSetNotClosed) as got:
+            _point_permutation(pts, g)
+        with pytest.raises(SampleSetNotClosed) as expected:
+            point_permutation_loop(pts, g)
+        assert np.array_equal(got.value.point, expected.value.point)
+
+
+def test_symmetry_projection_matches_loop_oracle():
+    from oracles import symmetry_projection_loop
+
+    rng = np.random.default_rng(23)
+    elements, pts = d6_orbit_points(rng)
+    dual = irreps(isometry_finite_group(elements))
+    k, n = transverse_pair(rng)
+    field = plane_wave(k, n, pts)
+    for s in dual.irreps:
+        got = symmetry_projection(field, elements, s.matrices)
+        assert np.max(np.abs(got - symmetry_projection_loop(field, elements, s.matrices))) < 1e-12

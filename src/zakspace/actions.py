@@ -2,9 +2,10 @@
 
 An action stores one permutation of the point set per group element
 (perm[g][x] = image of x under g) plus a strictly positive weight per
-point playing the role of the measure on the space.  The orbit
-decomposition fixes the canonical fundamental domain: the smallest point
-index of each orbit.
+point playing the role of the measure on the space.  Both arrays are
+read-only copies, because the Weil structure built from them is kept on
+the action.  The orbit decomposition fixes the canonical fundamental
+domain: the smallest point index of each orbit.
 """
 
 from __future__ import annotations
@@ -17,14 +18,25 @@ from .errors import EmptySet, NonpositiveWeight, NotHomomorphism, SizeMismatch
 from .groups import FiniteGroup
 
 
+def _read_only_copy(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 class GroupAction:
-    """Validated action of a FiniteGroup on weighted points 0..npoints-1."""
+    """Validated action of a FiniteGroup on weighted points 0..npoints-1.
+
+    perm and weights are read-only copies of the arrays passed in, so the
+    Weil structure that weil.weil_structure keeps in `weil` cannot go stale.
+    """
 
     def __init__(self, group: FiniteGroup, perm, weights):
         self.group = group
-        self.perm = np.asarray(perm, dtype=int)
-        self.weights = np.asarray(weights, dtype=float)
+        self.perm = _read_only_copy(perm, int)
+        self.weights = _read_only_copy(weights, float)
         self.npoints = int(self.perm.shape[1])
+        self.weil = None  # the WeilStructure, built on first use by weil.weil_structure
 
     def apply(self, g: int, x: int) -> int:
         return int(self.perm[g, x])
@@ -54,9 +66,9 @@ def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
         raise SizeMismatch("empty point set")
     if perm.min() < 0 or perm.max() >= m:
         raise ValueError("permutation entries out of range")
-    for g in group.elements():
-        if len(set(perm[g].tolist())) != m:
-            raise ValueError(f"row {g} is not a permutation")
+    not_perm = np.flatnonzero((np.sort(perm, axis=1) != np.arange(m)).any(axis=1))
+    if not_perm.size:
+        raise ValueError(f"row {not_perm[0]} is not a permutation")
 
     if weights is None:
         weights = np.ones(m)
@@ -67,15 +79,13 @@ def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
     if bad.size:
         raise NonpositiveWeight(int(bad[0]), weights[bad[0]])
 
-    ident = np.arange(m)
-    if not np.array_equal(perm[group.identity], ident):
+    if not np.array_equal(perm[group.identity], np.arange(m)):
         raise NotHomomorphism(group.identity, group.identity)
+    # perm(g h) = perm(g) o perm(h), one g row at a time; the first failing (g, h) is reported
     for g in group.elements():
-        pg = perm[g]
-        for h in group.elements():
-            if not np.array_equal(perm[group.mul(g, h)], pg[perm[h]]):
-                raise NotHomomorphism(g, h)
-
+        bad = np.flatnonzero((perm[group.table[g]] != perm[g][perm]).any(axis=1))
+        if bad.size:
+            raise NotHomomorphism(g, int(bad[0]))
     return GroupAction(group, perm, weights)
 
 
@@ -134,22 +144,11 @@ class OrbitDecomposition:
 
 def orbits(action: GroupAction) -> OrbitDecomposition:
     """Orbit decomposition with canonical fundamental domain (no measures)."""
-    m = action.npoints
-    orbit_of = np.full(m, -1, dtype=int)
-    reps, members, to_rep, stab_sizes = [], [], np.zeros(m, dtype=int), []
-    for x in range(m):
-        if orbit_of[x] >= 0:
-            continue
-        images = action.perm[:, x]  # orbit of x with group-element labels
-        orbit_pts = sorted(set(images.tolist()))
-        rep = orbit_pts[0]  # == x: points scanned in increasing order
-        oid = len(reps)
-        reps.append(rep)
-        members.append(orbit_pts)
-        for y in orbit_pts:
-            orbit_of[y] = oid
-            # smallest g sending y to the representative
-            gs = np.where(action.perm[:, y] == rep)[0]
-            to_rep[y] = gs[0]
-        stab_sizes.append(int(np.sum(images == rep)))
-    return OrbitDecomposition(orbit_of, reps, members, to_rep, stab_sizes)
+    perm = action.perm
+    rep_of = perm.min(axis=0)  # the orbit of x is perm[:, x], so this is its smallest point
+    reps, orbit_of, sizes = np.unique(rep_of, return_inverse=True, return_counts=True)
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    members = [pts.tolist() for pts in np.split(by_orbit, np.cumsum(sizes)[:-1])]
+    to_rep = np.argmax(perm == rep_of, axis=0)  # smallest g sending x to its representative
+    stab_sizes = (perm[:, reps] == reps).sum(axis=0)
+    return OrbitDecomposition(orbit_of, reps.tolist(), members, to_rep, stab_sizes.tolist())

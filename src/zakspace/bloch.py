@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import GroupAction, make_action, orbits
+from .actions import GroupAction, make_action
 from .duals import DualObject
 from .errors import InvariantViolation, NotHermitian, NotInvariant, ShapeMismatch
 from .reciprocal import fixed_space_projector
+from .weil import weil_structure
 from .zak import ZakCoefficients, zak
 
 
@@ -86,14 +87,15 @@ class BlockDiagonalization:
 def symmetry_adapted_basis(action: GroupAction, dual: DualObject):
     """Columns of the block-diagonalizing unitary plus the block layout."""
     group = action.group
-    decomp = orbits(action)
+    structure = weil_structure(action)
+    decomp = structure.decomp
     columns, layout = [], []
     offset = 0
     for s in dual.irreps:
         # multiplicity slots: one per (representative, fixed-space basis vector)
         slots = []
         for oid, x0 in enumerate(decomp.representatives):
-            stab = [g for g in group.elements() if action.apply(g, x0) == x0]
+            stab = structure.stabilizers[oid]
             p = fixed_space_projector(s, stab)
             w, u = np.linalg.eigh(p)
             for a in range(s.dim):

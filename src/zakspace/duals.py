@@ -19,6 +19,7 @@ norm, completeness sum(d^2) = |G|, and pairwise inequivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,20 @@ class DualObject:
 
     def is_abelian_dual(self) -> bool:
         return all(s.dim == 1 for s in self.irreps)
+
+    @cached_property
+    def dim_classes(self) -> list[tuple[int, list[int], np.ndarray]]:
+        """The irreps of each dimension d, in order of first appearance.
+
+        One (d, indices into irreps, (k, |G|, d, d) stacked matrices) per d,
+        so the transforms run one array op per class instead of per irrep.
+        """
+        by_dim: dict[int, list[int]] = {}
+        for i, s in enumerate(self.irreps):
+            by_dim.setdefault(s.dim, []).append(i)
+        return [
+            (d, idx, np.stack([self.irreps[i].matrices for i in idx])) for d, idx in by_dim.items()
+        ]
 
 
 def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:

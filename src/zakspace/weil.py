@@ -15,6 +15,11 @@ representatives; A is the orbital mean  A f(O) = sum_g f(g^-1 x_O).
 The fundamental-domain measure is the same numbers transported to the
 representatives.  For unit weights everything collapses to
 mu(O) = 1/|stabilizer|.
+
+The structure is built once per action: weil_structure keeps it on the
+GroupAction, whose perm and weights are read-only, and every array in it
+is read-only too.  Construction still checks the cocycle identity for
+every pair of group elements and the functional equation of q.
 """
 
 from __future__ import annotations
@@ -54,21 +59,31 @@ def cocycle(action: GroupAction, decomp: OrbitDecomposition | None = None) -> Co
     lam = w[action.perm] / w[None, :]
     beta = bruhat_function(action, decomp)
     inv_perm = action.perm[group.inverses]          # inv_perm[g, x] = g^-1 x
-    lam_inv_at = np.array([lam[group.inv(g)] for g in group.elements()])
+    lam_inv_at = lam[group.inverses]                # lambda_{g^-1}(x)
     q = np.einsum("gx,gx->x", beta[inv_perm], lam_inv_at)
 
-    # cocycle identity (g2 lambda_{g1})(x) = lambda_{g1 g2^-1}(x) / lambda_{g2^-1}(x)
-    for g1 in group.elements():
-        for g2 in group.elements():
-            lhs = lam[g1][inv_perm[g2]]
-            rhs = lam[group.mul(g1, group.inv(g2))] / lam[group.inv(g2)]
-            if np.max(np.abs(lhs - rhs)) > ATOL * max(1.0, np.max(np.abs(rhs))):
-                raise AssertionError(f"cocycle identity fails at ({g1},{g2})")
+    check_cocycle_identity(group, inv_perm, lam)
     # functional equation q(g^-1 x) = q(x) / lambda_{g^-1}(x)
     resid = np.max(np.abs(q[inv_perm] * lam_inv_at - q[None, :]))
     if resid > ATOL * max(1.0, float(np.max(q))):
         raise AssertionError(f"q functional equation fails, residual {resid}")
     return Cocycle(lam, q)
+
+
+def check_cocycle_identity(group, inv_perm: np.ndarray, lam: np.ndarray) -> None:
+    """(g2 lambda_{g1})(x) = lambda_{g1 g2^-1}(x) / lambda_{g2^-1}(x) for every pair.
+
+    Each g1 is one (|G|, npoints) array over g2, held to ATOL * max(1, max|rhs|)
+    per pair; raises at the first failing (g1, g2) in row-major order.
+    """
+    lam_inv_at = lam[group.inverses]
+    for g1 in group.elements():
+        lhs = lam[g1][inv_perm]
+        rhs = lam[group.table[g1, group.inverses]] / lam_inv_at
+        err = np.abs(lhs - rhs).max(axis=1)
+        bad = np.flatnonzero(err > ATOL * np.fmax(1.0, np.abs(rhs).max(axis=1)))
+        if bad.size:
+            raise AssertionError(f"cocycle identity fails at ({g1},{bad[0]})")
 
 
 def orbital_mean(action: GroupAction, f, coc: Cocycle | None = None) -> np.ndarray:
@@ -80,31 +95,26 @@ def orbital_mean(action: GroupAction, f, coc: Cocycle | None = None) -> np.ndarr
     f = np.asarray(f, dtype=complex)
     if f.shape != (action.npoints,):
         raise SizeMismatch(f"f must have shape ({action.npoints},), got {f.shape}")
-    decomp = orbits(action)
-    inv_perm = action.perm[action.group.inverses]
+    s = weil_structure(action)
+    decomp = s.decomp
     integrand = f if coc is None else f / coc.q
-    per_point = integrand[inv_perm].sum(axis=0)     # A f at every base point
-    out = np.empty(decomp.norbits, dtype=complex)
+    per_point = integrand[s.inv_perm].sum(axis=0)   # A f at every base point
+    out = per_point[decomp.representatives]
     scale = max(1.0, float(np.max(np.abs(per_point))))
-    for oid, pts in enumerate(decomp.members):
-        vals = per_point[pts]
-        if np.max(np.abs(vals - vals[0])) > 1e-12 * scale:
-            raise AssertionError(f"orbital mean depends on the representative in orbit {oid}")
-        out[oid] = per_point[decomp.representatives[oid]]
+    bad = np.abs(per_point - out[decomp.orbit_id]) > 1e-12 * scale
+    if bad.any():
+        oid = int(decomp.orbit_id[bad].min())
+        raise AssertionError(f"orbital mean depends on the representative in orbit {oid}")
     return out
 
 
 def weil_measures(action: GroupAction, coc: Cocycle, decomp: OrbitDecomposition | None = None) -> OrbitDecomposition:
     """Fill orbit and fundamental-domain measures by the delta-function solve."""
     decomp = decomp or orbits(action)
-    inv_perm = action.perm[action.group.inverses]
-    measures = np.empty(decomp.norbits)
-    for oid, rep in enumerate(decomp.representatives):
-        delta = np.zeros(action.npoints)
-        delta[rep] = 1.0
-        mean_at_rep = delta[inv_perm[:, rep]].sum()  # = |stabilizer of rep|
-        measures[oid] = coc.q[rep] * action.weights[rep] / mean_at_rep
-    fd = {rep: measures[oid] for oid, rep in enumerate(decomp.representatives)}
+    reps = decomp.representatives
+    mean_at_rep = np.array(decomp.stabilizer_sizes, dtype=float)  # A delta_rep at rep
+    measures = coc.q[reps] * action.weights[reps] / mean_at_rep
+    fd = {rep: measures[oid] for oid, rep in enumerate(reps)}
     return OrbitDecomposition(
         decomp.orbit_id,
         decomp.representatives,
@@ -118,22 +128,39 @@ def weil_measures(action: GroupAction, coc: Cocycle, decomp: OrbitDecomposition 
 
 @dataclass
 class WeilStructure:
-    """Everything the transforms downstream need about one action."""
+    """Everything the transforms downstream need about one action.
 
-    action: GroupAction
+    It is kept on its action (GroupAction.weil) and holds no reference back
+    to it, so the two form no reference cycle and are freed together.
+    """
+
     decomp: OrbitDecomposition
     cocycle: Cocycle
+    inv_perm: np.ndarray               # inv_perm[g, x] = g^-1 x
+    point_measure: np.ndarray          # q w, the density of the invariant reference measure
+    stabilizers: list[np.ndarray]      # of each representative, as sorted elements
 
-    @property
-    def point_measure(self) -> np.ndarray:
-        """q(x) w(x), the density of the invariant reference measure."""
-        return self.cocycle.q * self.action.weights
+    def __post_init__(self):
+        d = self.decomp
+        for arr in (self.inv_perm, self.point_measure, *self.stabilizers, self.cocycle.lam,
+                    self.cocycle.q, d.orbit_id, d.to_rep_element, d.orbit_measure):
+            arr.setflags(write=False)
 
 
 def weil_structure(action: GroupAction) -> WeilStructure:
-    decomp = orbits(action)
-    coc = cocycle(action, decomp)
-    return WeilStructure(action, weil_measures(action, coc, decomp), coc)
+    """The Weil structure of the action: built on the first call, then kept on it."""
+    if action.weil is None:
+        perm = action.perm
+        decomp = orbits(action)
+        coc = cocycle(action, decomp)
+        action.weil = WeilStructure(
+            weil_measures(action, coc, decomp),
+            coc,
+            perm[action.group.inverses],
+            coc.q * action.weights,
+            [np.flatnonzero(perm[:, x0] == x0) for x0 in decomp.representatives],
+        )
+    return action.weil
 
 
 def weil_residual(action: GroupAction, f, structure: WeilStructure | None = None) -> float:

@@ -16,6 +16,7 @@ the orbit-supported eigen-measures all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import (
     NotRepresentative,
     SizeMismatch,
 )
-from .reciprocal import fixed_space_projector
 from .weil import WeilStructure, weil_structure
 
 
@@ -63,22 +63,56 @@ class ZakCoefficients:
     Blocks outside the stabilizer reciprocal space are stored as explicit
     zeros rather than omitted, so violations of the support law are
     observable.  Scalars (abelian duals) are 1x1 matrices; use value().
+
+    For each dimension class of dual.dim_classes, `blocks` holds one
+    read-only (representatives, k, d, d) array and `projectors` the
+    stabilizer projectors (the mean of sigma over the stabilizer of x0) in
+    the same layout.  members[r, i] says whether irrep i lies in the
+    reciprocal space of the stabilizer of representative r.  `data` maps
+    (x0, label) to views of the blocks, in the order of the dict the table
+    was made from.
     """
 
     def __init__(self, action, dual, structure, data, f_norm):
         self.action = action
         self.dual = dual
         self.structure = structure
-        self.data = data  # (x0, label) -> (d, d) array
         self.f_norm = f_norm
-        self.stab_projectors = {}
-        self.stab_members = {}
-        for x0 in structure.decomp.representatives:
-            stab = [g for g in action.group.elements() if action.apply(g, x0) == x0]
-            for s in dual.irreps:
-                p = fixed_space_projector(s, stab)
-                self.stab_projectors[(x0, s.label)] = p
-                self.stab_members[(x0, s.label)] = int(round(np.trace(p).real)) >= 1
+        reps = structure.decomp.representatives
+        if data.keys() != {(x0, s.label) for x0 in reps for s in dual.irreps}:
+            raise SizeMismatch("Zak data needs one block per (representative, irrep) pair")
+        # row r averages over the stabilizer of representative r
+        average = np.zeros((len(reps), action.group.order))
+        for r, stab in enumerate(structure.stabilizers):
+            average[r, stab] = 1.0 / len(stab)
+        self.blocks, self.projectors = [], []
+        self.members = np.empty((len(reps), len(dual.irreps)), dtype=bool)
+        views = {}
+        for d, idx, mats in dual.dim_classes:
+            keys = [[(x0, dual.irreps[i].label) for i in idx] for x0 in reps]
+            try:
+                z = np.array([[data[key] for key in row] for row in keys], dtype=complex)
+            except ValueError:  # blocks of different shapes
+                z = None
+            if z is None or z.shape != (len(reps), len(idx), d, d):
+                raise SizeMismatch(f"Zak blocks of {d}-dimensional irreps must be {d}x{d}")
+            z.setflags(write=False)
+            proj = np.einsum("rg,kgab->rkab", average, mats)
+            self.blocks.append(z)
+            self.projectors.append(proj)
+            self.members[:, idx] = np.rint(np.trace(proj, axis1=2, axis2=3).real) >= 1
+            for row, zrow in zip(keys, z):
+                views.update(zip(row, zrow))
+        self.data = {key: views[key] for key in data}  # (x0, label) -> (d, d) view
+
+    @cached_property
+    def stab_members(self) -> dict:
+        """(x0, label) -> whether sigma lies in the reciprocal space of the stabilizer of x0."""
+        return {
+            (x0, s.label): m
+            for x0, row in zip(self.structure.decomp.representatives, self.members.tolist())
+            for s, m in zip(self.dual.irreps, row)
+        }
 
     def __getitem__(self, key):
         return self.data[key]
@@ -90,28 +124,43 @@ class ZakCoefficients:
         return complex(block[0, 0])
 
     def check_invariants(self) -> None:
-        """Assert stabilizer-support vanishing and the projection identity."""
+        """Assert stabilizer-support vanishing and the projection identity.
+
+        Each dimension class is checked as one stack.  The failure reported
+        is that of the first failing block in the order of `data`, and the
+        vanishing law is reported before the projection identity.
+        """
         tol = 1e-12 * max(1.0, self.f_norm)
-        for (x0, label), block in self.data.items():
-            if not self.stab_members[(x0, label)]:
-                if np.linalg.norm(block) > tol:
-                    raise InvariantViolation(
-                        f"Z({x0},{label}) = {np.linalg.norm(block):g} off the reciprocal space"
-                    )
-            p = self.stab_projectors[(x0, label)]
-            if np.max(np.abs(block @ p - block)) > tol:
-                raise InvariantViolation(f"Z({x0},{label}) P != Z({x0},{label})")
+        reps = self.structure.decomp.representatives
+        failures = {}  # (x0, label) -> True if off the reciprocal space
+        for (_d, idx, _mats), z, p in zip(self.dual.dim_classes, self.blocks, self.projectors):
+            off = ~self.members[:, idx] & (np.linalg.norm(z, axis=(2, 3)) > tol)
+            unfixed = np.abs(z @ p - z).max(axis=(2, 3)) > tol
+            for r, j in zip(*np.nonzero(off | unfixed)):
+                failures[(reps[r], self.dual.irreps[idx[j]].label)] = bool(off[r, j])
+        if failures:
+            order = {key: i for i, key in enumerate(self.data)}
+            x0, label = min(failures, key=order.__getitem__)
+            if failures[(x0, label)]:
+                raise InvariantViolation(
+                    f"Z({x0},{label}) = {np.linalg.norm(self.data[(x0, label)]):g} off the reciprocal space"
+                )
+            raise InvariantViolation(f"Z({x0},{label}) P != Z({x0},{label})")
 
     def image_norm_sq(self) -> float:
-        """sum over x0 of mu_F(x0) sum_sigma (d/|G|) ||Z||_HS^2."""
+        """sum over x0 of mu_F(x0) sum_sigma (d/|G|) ||Z||_HS^2, added up in (x0, irrep) order."""
+        reps = self.structure.decomp.representatives
+        hs = np.empty((len(reps), len(self.dual.irreps)))
+        for (_d, idx, _mats), z in zip(self.dual.dim_classes, self.blocks):
+            # each block summed in column-major order, the order np.sum takes over
+            # a block built by einsum("g,gji->ij"), so the per-block sum agrees bitwise
+            hs[:, idx] = np.sum(np.abs(z.swapaxes(2, 3)).reshape(*z.shape[:2], -1) ** 2, axis=-1)
         total = 0.0
         order = self.action.group.order
-        for x0 in self.structure.decomp.representatives:
+        for x0, row in zip(reps, hs.tolist()):
             mu = self.structure.decomp.fd_measure[x0]
-            for s in self.dual.irreps:
-                total += mu * (s.dim / order) * float(
-                    np.sum(np.abs(self.data[(x0, s.label)]) ** 2)
-                )
+            for s, sq in zip(self.dual.irreps, row):
+                total += mu * (s.dim / order) * sq
         return total
 
 
@@ -123,18 +172,22 @@ def _check_dual(action: GroupAction, dual: DualObject) -> None:
 
 
 def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | None = None) -> ZakCoefficients:
-    """Zak transform of f over the canonical fundamental domain."""
+    """Zak transform of f over the canonical fundamental domain, one einsum per irrep dimension."""
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
     if f.shape != (action.npoints,):
         raise SizeMismatch(f"f must have shape ({action.npoints},), got {f.shape}")
     s = structure or weil_structure(action)
-    inv_perm = action.perm[action.group.inverses]
-    data = {}
-    for x0 in s.decomp.representatives:
-        orbit_vals = f[inv_perm[:, x0]]  # g -> f(g^-1 x0)
-        for irr in dual.irreps:
-            data[(x0, irr.label)] = np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
+    reps = s.decomp.representatives
+    orbit_vals = f[s.inv_perm[:, reps]]  # [g, r] = f(g^-1 x0_r)
+    per_irrep = [None] * len(dual.irreps)  # irrep i -> (reps, d, d)
+    for _d, idx, mats in dual.dim_classes:
+        z = np.einsum("gr,kgji->krij", orbit_vals, mats.conj())
+        for j, i in enumerate(idx):
+            per_irrep[i] = z[j]
+    data = {
+        (x0, irr.label): per_irrep[i][r] for r, x0 in enumerate(reps) for i, irr in enumerate(dual.irreps)
+    }
     coeffs = ZakCoefficients(action, dual, s, data, float(np.linalg.norm(f)))
     coeffs.check_invariants()
     return coeffs
@@ -182,22 +235,32 @@ def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:
     """Pointwise inversion f(x) = sum_{sigma in perp} (d/|G|) tr(Z(x0,sigma) sigma(g)).
 
     g is any element carrying x to its representative; the choice is
-    immaterial because Z absorbs the stabilizer on the right.
+    immaterial because Z absorbs the stabilizer on the right.  Each irrep
+    dimension class is one gather by orbit and by g and one batched
+    product, taken over blocks of points so that no temporary exceeds 8192
+    matrix entries; the terms are then added up over the irreps in the
+    dual's order, exactly as the pointwise sum adds them.
     """
     coeffs.check_invariants()
     action, dual = coeffs.action, coeffs.dual
     decomp = coeffs.structure.decomp
     order = action.group.order
+    terms = np.empty((len(dual.irreps), action.npoints), dtype=complex)
+    for (d, idx, mats), z in zip(dual.dim_classes, coeffs.blocks):
+        z = np.where(coeffs.members[:, idx, None, None], z, 0.0)  # zero off the reciprocal space
+        step = max(1, 8192 // (len(idx) * d * d))  # points per product
+        for lo in range(0, action.npoints, step):
+            pts = slice(lo, lo + step)
+            # [x, j] = tr(Z(x0, sigma_j) sigma_j(g)) with x0 = rep(x) and g x = x0
+            tr = np.trace(
+                z[decomp.orbit_id[pts]] @ mats[:, decomp.to_rep_element[pts]].swapaxes(0, 1),
+                axis1=2, axis2=3,
+            )
+            tr *= d / order
+            terms[idx, pts] = tr.T
     f = np.zeros(action.npoints, dtype=complex)
-    for x in range(action.npoints):
-        x0 = decomp.rep_of(x)
-        g = int(decomp.to_rep_element[x])
-        val = 0.0 + 0.0j
-        for s in dual.irreps:
-            if not coeffs.stab_members[(x0, s.label)]:
-                continue
-            val += (s.dim / order) * np.trace(coeffs[(x0, s.label)] @ s.matrices[g])
-        f[x] = val
+    for term in terms:
+        f += term
     return f
 
 
@@ -258,9 +321,8 @@ def zak_measure_eval(action: GroupAction, dual: DualObject, x0: int, label: str,
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (action.npoints,):
         raise SizeMismatch(f"phi must have shape ({action.npoints},)")
-    inv_perm = action.perm[action.group.inverses]
     irr = dual.by_label[label]
-    return np.einsum("g,gij->ij", phi[inv_perm[:, x0]], irr.matrices)
+    return np.einsum("g,gij->ij", phi[s.inv_perm[:, x0]], irr.matrices)
 
 
 def zak_measure_eigenlaw_residual(action: GroupAction, dual: DualObject, x0: int, label: str, phi) -> float:

@@ -1,11 +1,13 @@
-"""Brute-force loop versions of the batched periodic-layer code.
+"""Brute-force loop versions of the batched library code.
 
 Each function here is the element-by-element loop that the library ran
 before it was batched: one Bloch block and one eigvalsh per wave index,
 one nearest-point search per sample point, a sequential breadth-first
 closure that matches every candidate against every element found so far,
-and the scan lookups of the torus folding.  The tests require the library
-to reproduce them exactly (bands to 1e-12).
+the scan lookups of the torus folding, the pair-by-pair homomorphism and
+cocycle checks, the orbit scan, and the per-block finite Zak transforms.
+The tests require the library to reproduce them exactly (bands, Zak
+blocks and inverses to 1e-12; orbits and the Weil structure bitwise).
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from zakspace.errors import NotClosable, SampleSetNotClosed, TruncationExceeded
+from zakspace.actions import OrbitDecomposition
+from zakspace.errors import (
+    InvariantViolation,
+    NotClosable,
+    NotHomomorphism,
+    SampleSetNotClosed,
+    TruncationExceeded,
+)
 from zakspace.euclid import (
     GeneratedGroup,
     IsometryElement,
@@ -26,6 +35,8 @@ from zakspace.euclid import (
     translation_subgroup,
 )
 from zakspace.groups import make_group
+from zakspace.reciprocal import fixed_space_projector
+from zakspace.weil import ATOL, Cocycle, bruhat_function
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +269,141 @@ def symmetry_projection_loop(field, elements, irrep_matrices) -> np.ndarray:
         moved = act_field(g, field)
         out += np.einsum("xi,ab->xabi", moved.values, irrep_matrices[g_idx].conj().T)
     return out
+
+
+# ---------------------------------------------------------------------------
+# actions and weil
+
+
+def homomorphism_loop(group, perm) -> None:
+    """make_action's check: the identity row, then perm(g h) = perm(g) o perm(h) pair by pair."""
+    perm = np.asarray(perm, dtype=int)
+    if not np.array_equal(perm[group.identity], np.arange(perm.shape[1])):
+        raise NotHomomorphism(group.identity, group.identity)
+    for g in group.elements():
+        pg = perm[g]
+        for h in group.elements():
+            if not np.array_equal(perm[group.mul(g, h)], pg[perm[h]]):
+                raise NotHomomorphism(g, h)
+
+
+def orbits_loop(action) -> OrbitDecomposition:
+    m = action.npoints
+    orbit_of = np.full(m, -1, dtype=int)
+    reps, members, to_rep, stab_sizes = [], [], np.zeros(m, dtype=int), []
+    for x in range(m):
+        if orbit_of[x] >= 0:
+            continue
+        images = action.perm[:, x]
+        orbit_pts = sorted(set(images.tolist()))
+        rep = orbit_pts[0]
+        oid = len(reps)
+        reps.append(rep)
+        members.append(orbit_pts)
+        for y in orbit_pts:
+            orbit_of[y] = oid
+            to_rep[y] = np.where(action.perm[:, y] == rep)[0][0]
+        stab_sizes.append(int(np.sum(images == rep)))
+    return OrbitDecomposition(orbit_of, reps, members, to_rep, stab_sizes)
+
+
+def cocycle_identity_loop(group, inv_perm, lam) -> None:
+    for g1 in group.elements():
+        for g2 in group.elements():
+            lhs = lam[g1][inv_perm[g2]]
+            rhs = lam[group.mul(g1, group.inv(g2))] / lam[group.inv(g2)]
+            if np.max(np.abs(lhs - rhs)) > ATOL * max(1.0, np.max(np.abs(rhs))):
+                raise AssertionError(f"cocycle identity fails at ({g1},{g2})")
+
+
+def cocycle_loop(action, decomp) -> Cocycle:
+    group = action.group
+    w = action.weights
+    lam = w[action.perm] / w[None, :]
+    beta = bruhat_function(action, decomp)
+    inv_perm = action.perm[group.inverses]
+    lam_inv_at = np.array([lam[group.inv(g)] for g in group.elements()])
+    q = np.einsum("gx,gx->x", beta[inv_perm], lam_inv_at)
+    cocycle_identity_loop(group, inv_perm, lam)
+    resid = np.max(np.abs(q[inv_perm] * lam_inv_at - q[None, :]))
+    if resid > ATOL * max(1.0, float(np.max(q))):
+        raise AssertionError(f"q functional equation fails, residual {resid}")
+    return Cocycle(lam, q)
+
+
+def weil_measures_loop(action, coc, decomp) -> tuple[np.ndarray, dict]:
+    """(orbit_measure, fd_measure) by one delta-function solve per representative."""
+    inv_perm = action.perm[action.group.inverses]
+    measures = np.empty(decomp.norbits)
+    for oid, rep in enumerate(decomp.representatives):
+        delta = np.zeros(action.npoints)
+        delta[rep] = 1.0
+        mean_at_rep = delta[inv_perm[:, rep]].sum()
+        measures[oid] = coc.q[rep] * action.weights[rep] / mean_at_rep
+    return measures, {rep: measures[oid] for oid, rep in enumerate(decomp.representatives)}
+
+
+# ---------------------------------------------------------------------------
+# zak
+
+
+def zak_loop(action, f, dual, representatives) -> dict:
+    """(x0, label) -> sum_g f(g^-1 x0) sigma(g)*, one einsum per block."""
+    f = np.asarray(f, dtype=complex)
+    inv_perm = action.perm[action.group.inverses]
+    data = {}
+    for x0 in representatives:
+        orbit_vals = f[inv_perm[:, x0]]
+        for irr in dual.irreps:
+            data[(x0, irr.label)] = np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
+    return data
+
+
+def stabilizer_tables_loop(action, dual, representatives) -> tuple[dict, dict]:
+    """(projectors, members): the stabilizer average of each irrep and whether it is nonzero."""
+    projectors, members = {}, {}
+    for x0 in representatives:
+        stab = [g for g in action.group.elements() if action.apply(g, x0) == x0]
+        for s in dual.irreps:
+            p = fixed_space_projector(s, stab)
+            projectors[(x0, s.label)] = p
+            members[(x0, s.label)] = int(round(np.trace(p).real)) >= 1
+    return projectors, members
+
+
+def check_invariants_loop(data, projectors, members, f_norm) -> None:
+    tol = 1e-12 * max(1.0, f_norm)
+    for (x0, label), block in data.items():
+        if not members[(x0, label)]:
+            if np.linalg.norm(block) > tol:
+                raise InvariantViolation(
+                    f"Z({x0},{label}) = {np.linalg.norm(block):g} off the reciprocal space"
+                )
+        p = projectors[(x0, label)]
+        if np.max(np.abs(block @ p - block)) > tol:
+            raise InvariantViolation(f"Z({x0},{label}) P != Z({x0},{label})")
+
+
+def zak_inverse_loop(action, dual, decomp, data, members) -> np.ndarray:
+    order = action.group.order
+    f = np.zeros(action.npoints, dtype=complex)
+    for x in range(action.npoints):
+        x0 = decomp.rep_of(x)
+        g = int(decomp.to_rep_element[x])
+        val = 0.0 + 0.0j
+        for s in dual.irreps:
+            if not members[(x0, s.label)]:
+                continue
+            val += (s.dim / order) * np.trace(data[(x0, s.label)] @ s.matrices[g])
+        f[x] = val
+    return f
+
+
+def image_norm_sq_loop(structure, dual, data) -> float:
+    total = 0.0
+    order = dual.group.order
+    for x0 in structure.decomp.representatives:
+        mu = structure.decomp.fd_measure[x0]
+        for s in dual.irreps:
+            total += mu * (s.dim / order) * float(np.sum(np.abs(data[(x0, s.label)]) ** 2))
+    return total

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from zakspace.actions import make_action, orbits, stabilizer, transporter
+from oracles import homomorphism_loop, orbits_loop
+from sample_actions import oracle_actions
+from zakspace.actions import make_action, orbits, stabilizer, translation_action, transporter
 from zakspace.errors import EmptySet, NonpositiveWeight, NotHomomorphism
 from zakspace.fixtures import (
     c6_ring_with_center,
@@ -12,7 +14,7 @@ from zakspace.fixtures import (
     z2_swap,
     z4_rotation,
 )
-from zakspace.groups import cyclic_group
+from zakspace.groups import cyclic_group, symmetric_group
 
 
 def test_swap_action_valid():
@@ -101,3 +103,65 @@ def test_to_rep_element_carries_points_home():
     for x in range(action.npoints):
         g = int(dec.to_rep_element[x])
         assert action.apply(g, x) == dec.rep_of(x)
+
+
+# ---------------------------------------------------------------------------
+# read-only arrays and the vectorized checks against the loops in oracles.py
+
+
+def test_action_arrays_are_read_only_copies():
+    perm = np.array([[0, 1], [1, 0]])
+    weights = np.array([1.0, 2.0])
+    action = make_action(cyclic_group(2), perm, weights)
+    with pytest.raises(ValueError):
+        action.perm[0, 0] = 1
+    with pytest.raises(ValueError):
+        action.weights[0] = 5.0
+    perm[1, 0], weights[0] = 0, 5.0  # the caller's arrays stay the caller's
+    assert action.perm[1, 0] == 1 and action.weights[0] == 1.0
+
+
+def test_translation_action_leaves_group_table_writeable():
+    group = symmetric_group(3)
+    action = translation_action(group)
+    assert group.table.flags.writeable
+    assert not action.perm.flags.writeable
+
+
+def test_orbits_match_scan_loop():
+    for name, action in oracle_actions().items():
+        got, want = orbits(action), orbits_loop(action)
+        assert np.array_equal(got.orbit_id, want.orbit_id), name
+        assert got.representatives == want.representatives, name
+        assert got.members == want.members, name
+        assert np.array_equal(got.to_rep_element, want.to_rep_element), name
+        assert got.stabilizer_sizes == want.stabilizer_sizes, name
+
+
+def _failing_pair(fn, *args):
+    try:
+        fn(*args)
+    except NotHomomorphism as err:
+        return err.pair
+    return None
+
+
+def test_homomorphism_check_fails_at_the_loops_pair():
+    raised = 0
+    for name, action in oracle_actions().items():
+        group, n = action.group, action.group.order
+        for g1, g2 in ((1, 2), (2, n - 1), (n - 2, n - 1), (n // 2, n // 2 + 1), (0, 1)):
+            if len({g1, g2}) < 2 or max(g1, g2) >= n:
+                continue
+            perm = action.perm.copy()
+            perm[[g1, g2]] = perm[[g2, g1]]  # swap two rows
+            want = _failing_pair(homomorphism_loop, group, perm)
+            assert _failing_pair(make_action, group, perm, action.weights) == want, (name, g1, g2)
+            raised += want is not None
+    assert raised >= 20
+
+
+def test_non_permutation_row_reported_first():
+    perm = [[0, 1, 2], [1, 1, 0], [2, 0, 0]]
+    with pytest.raises(ValueError, match="row 1 is not a permutation"):
+        make_action(cyclic_group(3), perm)

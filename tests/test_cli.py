@@ -50,6 +50,19 @@ def test_zak_forward_inverse_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(rec - f)) < 1e-11
 
 
+@pytest.mark.parametrize("dropped", [(2, "chi0"), (2, "chi1")])  # a member block, a zero block
+def test_zak_inverse_missing_block_exit_2(tmp_path, capsys, dropped):
+    cfg = {"action": action_to_dict(z2_fixed_point()), "f": encode_vector(np.array([1.0, 2.0, 3.0]))}
+    fwd_path = str(tmp_path / "coeffs.json")
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", fwd_path]) == 0
+    with open(fwd_path) as fh:
+        doc = json.load(fh)
+    doc["blocks"] = [b for b in doc["blocks"] if (b["x0"], b["label"]) != dropped]
+    assert main(["zak", "inverse", write(tmp_path, "short.json", doc)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "SizeMismatch"
+
+
 def test_zak_forward_lattice_and_binary(tmp_path, capsys):
     rng = np.random.default_rng(1)
     f = rng.normal(size=12)

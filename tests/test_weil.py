@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import cocycle_identity_loop, cocycle_loop, orbits_loop, weil_measures_loop
+from sample_actions import cell_orbits, oracle_actions
+from zakspace import weil
+from zakspace.actions import make_action, translation_action
+from zakspace.duals import irreps
 from zakspace.errors import SizeMismatch
 from zakspace.fixtures import (
     BUNDLED_ACTIONS,
@@ -9,14 +14,17 @@ from zakspace.fixtures import (
     z2_swap,
     z2_swap_weighted,
 )
+from zakspace.groups import symmetric_group
 from zakspace.weil import (
     bruhat_function,
+    check_cocycle_identity,
     cocycle,
     mackey_bruhat_residual,
     orbital_mean,
     weil_residual,
     weil_structure,
 )
+from zakspace.zak import verify_roundtrip, verify_unitarity, weak_inversion_residual, zak, zak_inverse
 
 
 def test_unit_weights_give_trivial_cocycle():
@@ -93,3 +101,75 @@ def test_weil_and_mackey_bruhat_residuals():
             f = random_complex(rng, action.npoints)
             assert weil_residual(action, f, s) < 1e-12, name
             assert mackey_bruhat_residual(action, f, s) < 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# one structure per action, checked against the loops in oracles.py
+
+
+def test_structure_is_bitwise_the_loops():
+    for name, action in oracle_actions().items():
+        s = weil_structure(action)
+        decomp = orbits_loop(action)
+        coc = cocycle_loop(action, decomp)
+        orbit_measure, fd_measure = weil_measures_loop(action, coc, decomp)
+        assert np.array_equal(s.cocycle.lam, coc.lam), name
+        assert np.array_equal(s.cocycle.q, coc.q), name
+        assert np.array_equal(s.decomp.orbit_measure, orbit_measure), name
+        assert s.decomp.fd_measure == fd_measure, name
+
+
+def test_cocycle_check_fails_at_the_loops_pair():
+    raised = 0
+    for name, action in oracle_actions().items():
+        group = action.group
+        inv_perm = action.perm[group.inverses]
+        lam = cocycle(action).lam
+        check_cocycle_identity(group, inv_perm, lam)  # the true cocycle passes
+        for g, x, factor in ((1, 0, 1.5), (group.order - 1, action.npoints - 1, 0.9), (0, 1, 1 + 1e-9)):
+            bad = lam.copy()
+            bad[g % group.order, x % action.npoints] *= factor
+            with pytest.raises(AssertionError) as want:
+                cocycle_identity_loop(group, inv_perm, bad)
+            with pytest.raises(AssertionError) as got:
+                check_cocycle_identity(group, inv_perm, bad)
+            assert str(got.value) == str(want.value), name
+            raised += 1
+    assert raised == 3 * len(oracle_actions())
+
+
+def test_structure_arrays_are_read_only():
+    s = weil_structure(z2_fixed_point())
+    for arr in (s.cocycle.lam, s.cocycle.q, s.point_measure, s.inv_perm, s.decomp.orbit_measure):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_one_structure_per_action(monkeypatch):
+    builds = []
+    real = weil.cocycle
+
+    def counted(action, decomp=None):
+        builds.append(action)
+        return real(action, decomp)
+
+    monkeypatch.setattr(weil, "cocycle", counted)
+    action = cell_orbits()
+    dual = irreps(action.group)
+    f = random_complex(np.random.default_rng(0), action.npoints)
+    coeffs = zak(action, f, dual)
+    zak_inverse(coeffs)
+    verify_unitarity(coeffs, f)
+    verify_roundtrip(action, f, dual)
+    weil_residual(action, f)
+    assert builds == [action]
+
+    s4 = translation_action(symmetric_group(4))
+    g = random_complex(np.random.default_rng(1), s4.npoints)
+    weak_inversion_residual(s4, g, g.conj(), irreps(s4.group))
+    assert builds == [action, s4]
+
+    again = make_action(action.group, action.perm, action.weights)
+    zak(again, f, dual)
+    zak(again, f, dual)
+    assert builds == [action, s4, again]

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    check_invariants_loop,
+    image_norm_sq_loop,
+    stabilizer_tables_loop,
+    zak_inverse_loop,
+    zak_loop,
+)
+from sample_actions import oracle_actions
 from zakspace.duals import irreps
-from zakspace.errors import DualGroupMismatch, NotRepresentative, SizeMismatch
+from zakspace.errors import DualGroupMismatch, InvariantViolation, NotRepresentative, SizeMismatch
 from zakspace.fixtures import (
     BUNDLED_ACTIONS,
     random_complex,
@@ -13,6 +21,7 @@ from zakspace.fixtures import (
 from zakspace.groups import cyclic_group
 from zakspace.weil import weil_structure
 from zakspace.zak import (
+    ZakCoefficients,
     character_zak,
     character_zak_reconstruct,
     extended_zak,
@@ -271,3 +280,77 @@ def test_zak_measure_eigenlaw_on_demand():
         phi = random_complex(rng, action.npoints)
         for label in dual.labels:
             assert zak_measure_eigenlaw_residual(action, dual, 0, label, phi) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched transforms against the per-block loops in oracles.py
+
+
+def _assert_zak_matches_loops(action, dual, f, name):
+    s = weil_structure(action)
+    reps = s.decomp.representatives
+    coeffs = zak(action, f, dual)
+    blocks = zak_loop(action, f, dual, reps)
+    assert list(coeffs.data) == list(blocks), name
+    for key, block in blocks.items():
+        assert np.max(np.abs(coeffs[key] - block)) <= 1e-12, (name, key)
+    projectors, members = stabilizer_tables_loop(action, dual, reps)
+    assert coeffs.stab_members == members, name
+    for (d, idx, _mats), proj in zip(dual.dim_classes, coeffs.projectors):
+        for j, i in enumerate(idx):
+            for r, x0 in enumerate(reps):
+                assert np.max(np.abs(proj[r, j] - projectors[(x0, dual.irreps[i].label)])) <= 1e-12
+    want = zak_inverse_loop(action, dual, s.decomp, blocks, members)
+    assert np.max(np.abs(zak_inverse(coeffs) - want)) <= 1e-12, name
+    # the unitarity residual is reported by suite all, so its sum keeps its order
+    assert coeffs.image_norm_sq() == image_norm_sq_loop(s, dual, blocks), name
+
+
+def test_batched_zak_matches_loops():
+    rng = np.random.default_rng(30)
+    for name, action in oracle_actions().items():
+        dual = _dual_for(action)
+        for _ in range(3):
+            _assert_zak_matches_loops(action, dual, random_complex(rng, action.npoints), name)
+
+
+def test_check_invariants_fails_at_the_loops_block():
+    rng = np.random.default_rng(31)
+    failures = set()
+    for name, action in oracle_actions().items():
+        dual = _dual_for(action)
+        f = random_complex(rng, action.npoints)
+        coeffs = zak(action, f, dual)
+        projectors, members = stabilizer_tables_loop(action, dual, coeffs.structure.decomp.representatives)
+        # only blocks of representatives with a nontrivial stabilizer can break a law
+        keys = [key for key, p in projectors.items() if not np.allclose(p, np.eye(len(p)))]
+        if not keys:
+            continue
+        for picks, backwards in (([keys[-1]], False), ([keys[len(keys) // 2], keys[-1]], False),
+                                 (keys[::2], False), (keys[::2], True)):
+            data = {key: np.array(block) for key, block in coeffs.data.items()}
+            for key in picks:
+                data[key] = data[key] + 1e-6 * random_complex(rng, data[key].size).reshape(data[key].shape)
+            if backwards:  # the first failure is counted in the order of the dict, as a file lists blocks
+                data = dict(reversed(list(data.items())))
+            with pytest.raises(InvariantViolation) as want:
+                check_invariants_loop(data, projectors, members, coeffs.f_norm)
+            planted = ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+            with pytest.raises(InvariantViolation) as got:
+                planted.check_invariants()
+            assert str(got.value) == str(want.value), name
+            failures.add("off the reciprocal space" in str(want.value))
+    assert failures == {True, False}  # both laws are exercised
+
+
+def test_zak_data_must_cover_every_pair():
+    action = z2_fixed_point()
+    dual = _dual_for(action)
+    coeffs = zak(action, np.ones(3), dual)
+    data = dict(coeffs.data)
+    data.pop((2, "chi1"))
+    with pytest.raises(SizeMismatch):
+        ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+    data[(2, "chi1")] = np.zeros((2, 2))
+    with pytest.raises(SizeMismatch):
+        ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)

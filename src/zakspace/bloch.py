@@ -10,7 +10,8 @@ stabilizer-fixed subspace of sigma, and each matrix row i, the column
     x -> sqrt(d |G_x0| / |G|) * u* sigma(g_x) e_i     on the orbit of x0,
 
 with g_x carrying x to x0.  These are orthonormal because the unit-weight
-Zak transform is unitary; rows of sigma index the d identical copies.
+Zak transform is unitary; rows of sigma index the d identical copies.  The
+projectors come from the core's `subgroup_projectors` (fourier.py).
 
 The 1-d tight-binding chain gets a dedicated fast path: the Bloch block
 at wave index j is the M x M cell Hamiltonian with hopping phases
@@ -27,7 +28,7 @@ import numpy as np
 from .actions import GroupAction, make_action
 from .duals import DualObject
 from .errors import InvariantViolation, NotHermitian, NotInvariant, ShapeMismatch
-from .reciprocal import fixed_space_projector
+from .fourier import subgroup_projectors
 from .weil import weil_structure
 from .zak import ZakCoefficients, zak
 
@@ -49,8 +50,9 @@ def check_invariance(action: GroupAction, matrix) -> InvariantOperator:
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
         raise NotHermitian("operator is not Hermitian")
     for g in action.group.elements():
-        pg = action.permutation_matrix(g)
-        if np.linalg.norm(h @ pg - pg @ h) > 1e-10 * scale:
+        # with P the permutation matrix of g, ||hP - Ph||_F = ||P h P^T - h||_F
+        q = action.perm[action.group.inv(g)]
+        if np.linalg.norm(h[np.ix_(q, q)] - h) > 1e-10 * scale:
             raise NotInvariant(g)
     return InvariantOperator(action, h)
 
@@ -85,36 +87,38 @@ class BlockDiagonalization:
 
 
 def symmetry_adapted_basis(action: GroupAction, dual: DualObject):
-    """Columns of the block-diagonalizing unitary plus the block layout."""
-    group = action.group
+    """Columns of the block-diagonalizing unitary plus the block layout.
+
+    The columns of irrep sigma come in d_sigma copies, one per matrix row i;
+    within a copy there is one column per multiplicity slot, a
+    (representative, fixed-space basis vector) pair in that order.
+    """
     structure = weil_structure(action)
     decomp = structure.decomp
-    columns, layout = [], []
-    offset = 0
-    for s in dual.irreps:
-        # multiplicity slots: one per (representative, fixed-space basis vector)
-        slots = []
-        for oid, x0 in enumerate(decomp.representatives):
-            stab = structure.stabilizers[oid]
-            p = fixed_space_projector(s, stab)
-            w, u = np.linalg.eigh(p)
-            for a in range(s.dim):
-                if w[a] > 0.5:
-                    slots.append((oid, x0, len(stab), u[:, a]))
-        if not slots:
-            continue
-        m_sigma = len(slots)
-        for i in range(s.dim):
-            for oid, x0, stab_size, u in slots:
-                col = np.zeros(action.npoints, dtype=complex)
-                norm = np.sqrt(s.dim * stab_size / group.order)
-                for x in decomp.members[oid]:
-                    g = int(decomp.to_rep_element[x])
-                    col[x] = norm * (u.conj() @ s.matrices[g][:, i])
-                columns.append(col)
-            layout.append((s.label, i, offset, m_sigma))
-            offset += m_sigma
-    basis = np.column_stack(columns)
+    rows, elements = decomp.orbit_id, decomp.to_rep_element  # per point x: its orbit and g_x
+    eigen = [np.linalg.eigh(p) for p in subgroup_projectors(dual, structure.stabilizers)]
+    slots = [w > 0.5 for w, _u in eigen]  # [r, j, a]: vector a of representative r is a slot of irrep j
+    dims = np.array([s.dim for s in dual.irreps])
+    mult = np.zeros(len(dual.irreps), dtype=int)
+    for (_d, idx, _mats), slot in zip(dual.dim_classes, slots):
+        mult[idx] = slot.sum(axis=(0, 2))
+    sizes = dims * mult
+    offsets = np.cumsum(sizes) - sizes  # first column of each irrep
+    stab_sizes = np.array([len(stab) for stab in structure.stabilizers])
+    basis = np.zeros((action.npoints, int(sizes.sum())), dtype=complex)
+    for (d, idx, mats), (_w, u), slot in zip(dual.dim_classes, eigen, slots):
+        # [r, j, a] -> place of the slot among those of irrep j, representatives first
+        rank = np.cumsum(slot.swapaxes(0, 1).reshape(len(idx), -1), axis=1) - 1
+        rank = rank.reshape(len(idx), -1, d).swapaxes(0, 1)
+        # [x, j, a, i] = u_a* sigma_j(g_x) e_i
+        values = u[rows].conj().swapaxes(2, 3) @ mats[:, elements].swapaxes(0, 1)
+        xs, js, avec = np.nonzero(slot[rows])
+        first = offsets[idx][js] + rank[rows[xs], js, avec]
+        cols = first[:, None] + np.arange(d)[None, :] * mult[idx][js][:, None]
+        norm = np.sqrt(d * stab_sizes[rows[xs]] / action.group.order)
+        basis[xs[:, None], cols] = norm[:, None] * values[xs, js, avec]
+    layout = [(s.label, i, int(offsets[n] + i * mult[n]), int(mult[n]))
+              for n, s in enumerate(dual.irreps) if mult[n] for i in range(s.dim)]
     gram = basis.conj().T @ basis
     if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-9:
         raise InvariantViolation("symmetry-adapted basis is not orthonormal")

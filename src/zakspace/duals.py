@@ -82,6 +82,26 @@ class DualObject:
             (d, idx, np.stack([self.irreps[i].matrices for i in idx])) for d, idx in by_dim.items()
         ]
 
+    def per_irrep(self, stacks) -> list[np.ndarray]:
+        """Split one (..., k, d, d) array per dimension class into a (..., d, d) view per irrep, in irrep order."""
+        views = [None] * len(self.irreps)
+        for (_d, idx, _mats), z in zip(self.dim_classes, stacks):
+            for j, i in enumerate(idx):
+                views[i] = z[..., j, :, :]
+        return views
+
+    def traces(self, stacks) -> np.ndarray:
+        """The trace of each block of one (..., k, d, d) array per dimension class, as one (..., irreps) array."""
+        out = np.empty(stacks[0].shape[:-3] + (len(self.irreps),), dtype=complex)
+        for (_d, idx, _mats), z in zip(self.dim_classes, stacks):
+            out[..., idx] = np.trace(z, axis1=-2, axis2=-1)
+        return out
+
+    @cached_property
+    def character_table(self) -> np.ndarray:
+        """(|G|, irreps) array of the characters tr sigma(g)."""
+        return np.stack([s.character() for s in self.irreps], axis=1)
+
 
 def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
     n, d = group.order, irrep.dim

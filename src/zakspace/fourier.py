@@ -1,9 +1,12 @@
-"""Fourier analysis on a finite group against a full dual.
+"""The group Fourier transform, and the transform core every other module calls.
 
 The transform is fhat(sigma) = sum_g f(g) sigma(g)*, inverted by
 f(g) = sum_sigma (d_sigma/|G|) tr(fhat(sigma) sigma(g)); the Plancherel
 identity ||f||^2 = sum_sigma (d_sigma/|G|) ||fhat(sigma)||_HS^2 ties the
-two normalizations together.
+two normalizations together.  These sums are written out only here, as
+one array op per dimension class of DualObject.dim_classes: `forward`,
+`inverse` and `subgroup_projectors`.  fourier and inverse_fourier call
+them on one column; zak.py, reciprocal.py and bloch.py say which they use.
 """
 
 from __future__ import annotations
@@ -14,6 +17,47 @@ import numpy as np
 
 from .duals import DualObject
 from .errors import ShapeMismatch, SizeMismatch
+
+
+def forward(values: np.ndarray, dual: DualObject) -> list[np.ndarray]:
+    """sum_g values[g, r] sigma(g)* as one (r, k, d, d) stack per dimension class."""
+    return [
+        np.einsum("gr,kgji->krij", values, mats.conj()).swapaxes(0, 1)
+        for _d, _idx, mats in dual.dim_classes
+    ]
+
+
+def inverse(blocks: list, rows: np.ndarray, elements: np.ndarray, dual: DualObject) -> np.ndarray:
+    """(irreps, points) array of (d/|G|) tr(Z[rows[x]] sigma(elements[x])).
+
+    blocks holds one (n, k, d, d) stack per dimension class, and rows index
+    its first axis.  Each class is one gather by row and by element and one
+    batched product, over chunks of points so that no temporary exceeds 8192
+    matrix entries.
+    """
+    order = dual.group.order
+    terms = np.empty((len(dual.irreps), len(rows)), dtype=complex)
+    for (d, idx, mats), z in zip(dual.dim_classes, blocks):
+        step = max(1, 8192 // (len(idx) * d * d))  # points per product
+        for lo in range(0, len(rows), step):
+            pts = slice(lo, lo + step)
+            tr = np.trace(z[rows[pts]] @ mats[:, elements[pts]].swapaxes(0, 1), axis1=2, axis2=3)
+            tr *= d / order
+            terms[idx, pts] = tr.T
+    return terms
+
+
+def subgroup_projectors(dual: DualObject, subgroups) -> list[np.ndarray]:
+    """(1/|H|) sum_{h in H} sigma(h) for each subgroup H, one (H, k, d, d) stack per class.
+
+    Each mean is the projector onto the H-fixed vectors of sigma; its trace
+    is the multiplicity of the trivial representation in sigma restricted to H.
+    """
+    member = np.zeros((len(subgroups), dual.group.order))
+    for r, sub in enumerate(subgroups):
+        member[r, sub] = 1.0
+    sizes = member.sum(axis=1)[:, None, None, None]
+    return [np.einsum("rg,kgab->rkab", member, mats) / sizes for _d, _idx, mats in dual.dim_classes]
 
 
 @dataclass
@@ -41,24 +85,17 @@ def fourier(f, dual: DualObject) -> FourierCoefficients:
     n = dual.group.order
     if f.shape != (n,):
         raise SizeMismatch(f"f must have shape ({n},), got {f.shape}")
-    blocks = {}
-    for s in dual.irreps:
-        # sigma(g)* is the conjugate transpose
-        blocks[s.label] = np.einsum("g,gji->ij", f, s.matrices.conj())
-    return FourierCoefficients(dual, blocks)
+    blocks = dual.per_irrep(forward(f[:, None], dual))
+    return FourierCoefficients(dual, {s.label: z[0] for s, z in zip(dual.irreps, blocks)})
 
 
 def inverse_fourier(coeffs: FourierCoefficients, dual: DualObject) -> np.ndarray:
-    n = dual.group.order
-    out = np.zeros(n, dtype=complex)
-    for w, s in zip(dual.plancherel_weight, dual.irreps):
-        block = np.asarray(coeffs.blocks[s.label], dtype=complex)
-        if block.shape != (s.dim, s.dim):
-            raise ShapeMismatch(
-                f"{s.label}: expected {(s.dim, s.dim)}, got {block.shape}"
-            )
-        out += w * np.einsum("ij,gji->g", block, s.matrices)
-    return out
+    for s in dual.irreps:
+        if np.shape(coeffs.blocks[s.label]) != (s.dim, s.dim):
+            raise ShapeMismatch(f"{s.label}: expected {(s.dim, s.dim)}, got {np.shape(coeffs.blocks[s.label])}")
+    n, labels = dual.group.order, dual.labels
+    blocks = [np.array([[coeffs.blocks[labels[i]] for i in idx]], dtype=complex) for _d, idx, _m in dual.dim_classes]
+    return inverse(blocks, np.zeros(n, dtype=int), np.arange(n), dual).sum(axis=0)
 
 
 def plancherel_residual(f, dual: DualObject) -> float:

@@ -42,19 +42,16 @@ class LatticeZakGrid:
         return 2.0 * np.pi * j / (self.periods[axis] * self.cells[axis])
 
 
-def _orbit_tensor(samples: np.ndarray, cells: tuple) -> np.ndarray:
-    """Rearranged samples b[x0, n] = f(x0 - n M), cyclically per axis."""
-    d = samples.ndim
-    periods = tuple(samples.shape[a] // cells[a] for a in range(d))
+def _orbit_index(shape: tuple, cells: tuple) -> tuple:
+    """Index arrays with samples[index][x0, n] = f(x0 - n M), cyclically per axis."""
+    d = len(shape)
+    periods = tuple(shape[a] // cells[a] for a in range(d))
     grids = np.meshgrid(
         *[np.arange(m) for m in cells],
         *[np.arange(n) for n in periods],
         indexing="ij",
     )
-    index = tuple(
-        (grids[a] - cells[a] * grids[d + a]) % samples.shape[a] for a in range(d)
-    )
-    return samples[index]
+    return tuple((grids[a] - cells[a] * grids[d + a]) % shape[a] for a in range(d))
 
 
 def classic_zak(samples, cells) -> LatticeZakGrid:
@@ -70,7 +67,7 @@ def classic_zak(samples, cells) -> LatticeZakGrid:
                 f"axis {axis}: length {samples.shape[axis]} not divisible by cell {cells[axis]}"
             )
     periods = tuple(samples.shape[a] // cells[a] for a in range(d))
-    orbit = _orbit_tensor(samples, cells)
+    orbit = samples[_orbit_index(samples.shape, cells)]
     values = np.fft.fftn(orbit, axes=tuple(range(d, 2 * d)))
     return LatticeZakGrid(cells, periods, values, samples)
 
@@ -96,18 +93,13 @@ def classic_zak_direct(samples, cells) -> np.ndarray:
 
 
 def classic_zak_inverse(grid: LatticeZakGrid) -> np.ndarray:
-    """Invert by inverse FFT along the period axes and unfold the orbits."""
+    """Invert by inverse FFT along the period axes and unfold the orbits in one scatter."""
     d = grid.ndim_space
     orbit = np.fft.ifftn(grid.values, axes=tuple(range(d, 2 * d)))
     samples = np.empty(
         tuple(grid.cells[a] * grid.periods[a] for a in range(d)), dtype=complex
     )
-    for x0 in np.ndindex(*grid.cells):
-        for n in np.ndindex(*grid.periods):
-            dest = tuple(
-                (x0[a] - n[a] * grid.cells[a]) % samples.shape[a] for a in range(d)
-            )
-            samples[dest] = orbit[x0 + n]
+    samples[_orbit_index(samples.shape, grid.cells)] = orbit
     return samples
 
 

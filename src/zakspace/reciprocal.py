@@ -10,6 +10,10 @@ identities hold exactly on finite groups:
 
     (1/|H|) sum_H f  =  sum_{chi in H^perp} fhat(chi)/|G|            (abelian)
     (1/|H|) sum_H f  =  sum_{sigma in H^perp} (d/|G|) tr(P fhat)     (general)
+
+P is the core's `subgroup_projectors` (fourier.py) and fhat its `forward`;
+the general Poisson sum and the quotient reconstruction are its `inverse` of
+P fhat at the identity and at the coset representatives.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualObject, UnitaryIrrep, dual_abelian
+from .duals import DualObject, dual_abelian
 from .errors import NotCosetFunction, SizeMismatch
-from .fourier import fourier
+from .fourier import forward, fourier, inverse, subgroup_projectors
 from .groups import FiniteGroup, check_subgroup, left_cosets
 
 MULT_ATOL = 1e-6
@@ -40,26 +44,36 @@ class ReciprocalSpace:
         return label in set(self.members)
 
 
-def fixed_space_projector(irrep: UnitaryIrrep, subgroup_elems) -> np.ndarray:
-    """Average of sigma over H: the orthogonal projector onto H-fixed vectors."""
-    return irrep.matrices[list(subgroup_elems)].mean(axis=0)
+def _projectors(dual: DualObject, subgroup) -> tuple[list, list, np.ndarray]:
+    """The checked subgroup H, its fixed-space projectors (one (k, d, d) stack per class) and the multiplicities."""
+    sub = check_subgroup(dual.group, subgroup)
+    stacks = [p[0] for p in subgroup_projectors(dual, [sub])]
+    tr = dual.traces(stacks)
+    mults = np.rint(tr.real).astype(int)
+    off = np.flatnonzero(np.abs(tr - mults) > MULT_ATOL)
+    if len(off):
+        raise AssertionError(
+            f"{dual.irreps[off[0]].label}: trace of projector {tr[off[0]]} is not near an integer"
+        )
+    return sub, stacks, mults
+
+
+def _projected_inverse(dual: DualObject, fhat: list, projectors: list, mults, elements) -> np.ndarray:
+    """sum over sigma in H^perp of (d/|G|) tr(P fhat(sigma) sigma(g)) at each g of elements."""
+    blocks = [
+        np.where(mults[idx, None, None] >= 1, p @ z[0], 0.0)[None]
+        for (_d, idx, _mats), p, z in zip(dual.dim_classes, projectors, fhat)
+    ]
+    return inverse(blocks, np.zeros(len(elements), dtype=int), elements, dual).sum(axis=0)
 
 
 def reciprocal_space(dual: DualObject, subgroup) -> ReciprocalSpace:
     """H^perp = irreps containing the trivial restriction component."""
-    sub = check_subgroup(dual.group, subgroup)
-    members, projectors, mults = [], {}, {}
-    for s in dual.irreps:
-        p = fixed_space_projector(s, sub)
-        tr = np.trace(p)
-        mult = int(round(tr.real))
-        if abs(tr - mult) > MULT_ATOL:
-            raise AssertionError(f"{s.label}: trace of projector {tr} is not near an integer")
-        projectors[s.label] = p
-        mults[s.label] = mult
-        if mult >= 1:
-            members.append(s.label)
-    return ReciprocalSpace(dual, sub, members, projectors, mults)
+    sub, stacks, mults = _projectors(dual, subgroup)
+    labels = dual.labels
+    members = [label for label, m in zip(labels, mults) if m >= 1]
+    projectors, multiplicities = dict(zip(labels, dual.per_irrep(stacks))), dict(zip(labels, mults.tolist()))
+    return ReciprocalSpace(dual, sub, members, projectors, multiplicities)
 
 
 def poisson_abelian_check(f, group: FiniteGroup, subgroup, seed_dual: DualObject | None = None):
@@ -77,16 +91,12 @@ def poisson_abelian_check(f, group: FiniteGroup, subgroup, seed_dual: DualObject
 
 def poisson_compact_check(f, group: FiniteGroup, subgroup, dual: DualObject):
     """Both sides and residual of Poisson summation for a compact quotient."""
-    rec = reciprocal_space(dual, subgroup)
+    sub, projectors, mults = _projectors(dual, subgroup)
     f = np.asarray(f, dtype=complex)
     if f.shape != (group.order,):
         raise SizeMismatch(f"f must have shape ({group.order},)")
-    lhs = f[rec.subgroup].sum() / len(rec.subgroup)
-    fhat = fourier(f, dual)
-    rhs = 0.0 + 0.0j
-    for label in rec.members:
-        s = dual.by_label[label]
-        rhs += (s.dim / group.order) * np.trace(rec.projectors[label] @ fhat[label])
+    lhs = f[sub].sum() / len(sub)
+    rhs = _projected_inverse(dual, forward(f[:, None], dual), projectors, mults, [dual.group.identity])[0]
     return lhs, rhs, float(abs(lhs - rhs))
 
 
@@ -101,44 +111,35 @@ def quotient_fourier_check(f_on_quotient, group: FiniteGroup, subgroup, dual: Du
     """
     sub = check_subgroup(group, subgroup)
     cosets = left_cosets(group, sub)
+    table = np.array(cosets)  # [coset, i], each coset sorted, the first entry its representative
     f_in = np.asarray(f_on_quotient, dtype=complex)
     if f_in.shape == (group.order,):
-        f_coset = np.empty(len(cosets), dtype=complex)
-        for i, coset in enumerate(cosets):
-            vals = f_in[coset]
-            if np.max(np.abs(vals - vals[0])) > 1e-12 * max(1.0, np.max(np.abs(vals))):
-                raise NotCosetFunction(f"f is not constant on coset {coset}")
-            f_coset[i] = vals[0]
+        vals = f_in[table]
+        spread = np.abs(vals - vals[:, :1]).max(axis=1)
+        bad = np.flatnonzero(spread > 1e-12 * np.maximum(1.0, np.abs(vals).max(axis=1)))
+        if len(bad):
+            raise NotCosetFunction(f"f is not constant on coset {cosets[bad[0]]}")
+        f_coset = vals[:, 0]
     elif f_in.shape == (len(cosets),):
         f_coset = f_in
     else:
-        raise SizeMismatch(
-            f"expected {group.order} values on G or {len(cosets)} per coset"
-        )
+        raise SizeMismatch(f"expected {group.order} values on G or {len(cosets)} per coset")
 
-    rec = reciprocal_space(dual, sub)
+    _, projectors, mults = _projectors(dual, sub)
     f_ext = np.empty(group.order, dtype=complex)
-    for i, coset in enumerate(cosets):
-        f_ext[coset] = f_coset[i]
-    fhat = fourier(f_ext, dual)
+    f_ext[table] = f_coset[:, None]
+    fhat = forward(f_ext[:, None], dual)
 
     # support: coefficients vanish off the reciprocal space
-    for s in dual.irreps:
-        if s.label not in rec and np.max(np.abs(fhat[s.label])) > 1e-10 * max(
-            1.0, float(np.max(np.abs(f_coset)))
-        ):
-            raise AssertionError(f"fhat({s.label}) does not vanish off H^perp")
+    peaks = np.empty(len(dual.irreps))
+    for (_d, idx, _mats), z in zip(dual.dim_classes, fhat):
+        peaks[idx] = np.abs(z[0]).max(axis=(1, 2))
+    off = np.flatnonzero((mults < 1) & (peaks > 1e-10 * max(1.0, float(np.max(np.abs(f_coset))))))
+    if len(off):
+        raise AssertionError(f"fhat({dual.irreps[off[0]].label}) does not vanish off H^perp")
 
-    reps = [c[0] for c in cosets]
-    err = 0.0
-    for i, rep in enumerate(reps):
-        val = 0.0 + 0.0j
-        for label in rec.members:
-            s = dual.by_label[label]
-            sigma_quot = s.matrices[rep] @ rec.projectors[label]
-            val += (s.dim / group.order) * np.trace(fhat[label] @ sigma_quot)
-        err = max(err, abs(val - f_coset[i]))
-    return float(err)
+    rec = _projected_inverse(dual, fhat, projectors, mults, table[:, 0])
+    return float(np.max(np.abs(rec - f_coset)))
 
 
 def invariance_support_residual(f, dual: DualObject, subgroup, side: str = "left") -> float:
@@ -147,12 +148,12 @@ def invariance_support_residual(f, dual: DualObject, subgroup, side: str = "left
     left:  f(h g) = f(g) for h in H  =>  fhat(sigma) P = fhat(sigma)
     right: f(g h) = f(g) for h in H  =>  P fhat(sigma) = fhat(sigma)
     """
-    rec = reciprocal_space(dual, subgroup)
-    fhat = fourier(np.asarray(f, dtype=complex), dual)
+    _, projectors, _ = _projectors(dual, subgroup)
+    f, n = np.asarray(f, dtype=complex), dual.group.order
+    if f.shape != (n,):
+        raise SizeMismatch(f"f must have shape ({n},), got {f.shape}")
     resid = 0.0
-    for s in dual.irreps:
-        p = rec.projectors[s.label]
-        block = fhat[s.label]
-        delta = block @ p - block if side == "left" else p @ block - block
+    for p, (z,) in zip(projectors, forward(f[:, None], dual)):
+        delta = z @ p - z if side == "left" else p @ z - z
         resid = max(resid, float(np.max(np.abs(delta))))
     return resid

@@ -11,6 +11,10 @@ both facts are asserted at construction so bookkeeping bugs surface
 immediately.  Inversion, the isometry law, equivariance in the first
 argument, the intertwining law in the second, the character variant, and
 the orbit-supported eigen-measures all live here.
+
+zak and extended_zak are the core's `forward` (fourier.py) on orbit functions,
+zak_inverse its `inverse`, the stabilizer projectors its `subgroup_projectors`;
+the character variants and zak_measure_eval stay independent checks of it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import (
     NotRepresentative,
     SizeMismatch,
 )
+from .fourier import forward, inverse, subgroup_projectors
 from .weil import WeilStructure, weil_structure
 
 
@@ -81,14 +86,10 @@ class ZakCoefficients:
         reps = structure.decomp.representatives
         if data.keys() != {(x0, s.label) for x0 in reps for s in dual.irreps}:
             raise SizeMismatch("Zak data needs one block per (representative, irrep) pair")
-        # row r averages over the stabilizer of representative r
-        average = np.zeros((len(reps), action.group.order))
-        for r, stab in enumerate(structure.stabilizers):
-            average[r, stab] = 1.0 / len(stab)
-        self.blocks, self.projectors = [], []
-        self.members = np.empty((len(reps), len(dual.irreps)), dtype=bool)
-        views = {}
-        for d, idx, mats in dual.dim_classes:
+        self.projectors = subgroup_projectors(dual, structure.stabilizers)
+        self.members = np.rint(dual.traces(self.projectors).real) >= 1
+        self.blocks, views = [], {}
+        for d, idx, _mats in dual.dim_classes:
             keys = [[(x0, dual.irreps[i].label) for i in idx] for x0 in reps]
             try:
                 z = np.array([[data[key] for key in row] for row in keys], dtype=complex)
@@ -97,10 +98,7 @@ class ZakCoefficients:
             if z is None or z.shape != (len(reps), len(idx), d, d):
                 raise SizeMismatch(f"Zak blocks of {d}-dimensional irreps must be {d}x{d}")
             z.setflags(write=False)
-            proj = np.einsum("rg,kgab->rkab", average, mats)
             self.blocks.append(z)
-            self.projectors.append(proj)
-            self.members[:, idx] = np.rint(np.trace(proj, axis1=2, axis2=3).real) >= 1
             for row, zrow in zip(keys, z):
                 views.update(zip(row, zrow))
         self.data = {key: views[key] for key in data}  # (x0, label) -> (d, d) view
@@ -172,7 +170,7 @@ def _check_dual(action: GroupAction, dual: DualObject) -> None:
 
 
 def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | None = None) -> ZakCoefficients:
-    """Zak transform of f over the canonical fundamental domain, one einsum per irrep dimension."""
+    """Zak transform of f over the canonical fundamental domain: the core's forward sum on the orbit functions."""
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
     if f.shape != (action.npoints,):
@@ -180,11 +178,7 @@ def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | Non
     s = structure or weil_structure(action)
     reps = s.decomp.representatives
     orbit_vals = f[s.inv_perm[:, reps]]  # [g, r] = f(g^-1 x0_r)
-    per_irrep = [None] * len(dual.irreps)  # irrep i -> (reps, d, d)
-    for _d, idx, mats in dual.dim_classes:
-        z = np.einsum("gr,kgji->krij", orbit_vals, mats.conj())
-        for j, i in enumerate(idx):
-            per_irrep[i] = z[j]
+    per_irrep = dual.per_irrep(forward(orbit_vals, dual))  # irrep i -> (reps, d, d)
     data = {
         (x0, irr.label): per_irrep[i][r] for r, x0 in enumerate(reps) for i, irr in enumerate(dual.irreps)
     }
@@ -193,17 +187,16 @@ def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | Non
     return coeffs
 
 
-def _extension_gap(coeffs: ZakCoefficients, f: np.ndarray, x: int) -> tuple[dict, float]:
-    """Defining sums at x, and their largest gap from Z f(x0, sigma) sigma(g) where g x = x0."""
-    action, decomp = coeffs.action, coeffs.structure.decomp
-    orbit_vals = f[action.perm[action.group.inverses, x]]  # g -> f(g^-1 x)
-    x0, g = decomp.rep_of(x), int(decomp.to_rep_element[x])
-    direct, gap = {}, 0.0
-    for irr in coeffs.dual.irreps:
-        direct[irr.label] = np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
-        law = coeffs[(x0, irr.label)] @ irr.matrices[g]
-        gap = max(gap, float(np.max(np.abs(law - direct[irr.label]))))
-    return direct, gap
+def _extension_gaps(coeffs: ZakCoefficients, f: np.ndarray, points) -> tuple[list, np.ndarray]:
+    """Defining sums at the points (a stack per class) and their gaps from Z f(x0, sigma) sigma(g), g x = x0."""
+    decomp = coeffs.structure.decomp
+    direct = forward(f[coeffs.structure.inv_perm[:, points]], coeffs.dual)  # column x: g -> f(g^-1 x)
+    rows, elements = decomp.orbit_id[points], decomp.to_rep_element[points]
+    gaps = np.zeros(len(points))
+    for (_d, _idx, mats), z, dz in zip(coeffs.dual.dim_classes, coeffs.blocks, direct):
+        law = z[rows] @ mats[:, elements].swapaxes(0, 1)
+        gaps = np.maximum(gaps, np.abs(law - dz).max(axis=(1, 2, 3)))
+    return direct, gaps
 
 
 def extended_zak(action: GroupAction, f, dual: DualObject, x: int) -> dict:
@@ -215,19 +208,19 @@ def extended_zak(action: GroupAction, f, dual: DualObject, x: int) -> dict:
     """
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
-    direct, gap = _extension_gap(zak(action, f, dual), f, x)
+    direct, gaps = _extension_gaps(zak(action, f, dual), f, [x])
+    gap = float(gaps[0])
     if gap > 1e-12 * max(1.0, float(np.linalg.norm(f))):
         raise EquivarianceViolation(
             f"extended Zak at x={x} disagrees with the equivariance law by {gap:g}"
         )
-    return direct
+    return {s.label: z[0] for s, z in zip(dual.irreps, dual.per_irrep(direct))}
 
 
 def equivariance_residual(action: GroupAction, f, dual: DualObject) -> float:
     """The extension gap of extended_zak, worst over all points, over max(1, ||f||)."""
     f = np.asarray(f, dtype=complex)
-    coeffs = zak(action, f, dual)
-    worst = max(_extension_gap(coeffs, f, x)[1] for x in range(action.npoints))
+    worst = float(_extension_gaps(zak(action, f, dual), f, np.arange(action.npoints))[1].max())
     return worst / max(1.0, float(np.linalg.norm(f)))
 
 
@@ -235,31 +228,18 @@ def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:
     """Pointwise inversion f(x) = sum_{sigma in perp} (d/|G|) tr(Z(x0,sigma) sigma(g)).
 
     g is any element carrying x to its representative; the choice is
-    immaterial because Z absorbs the stabilizer on the right.  Each irrep
-    dimension class is one gather by orbit and by g and one batched
-    product, taken over blocks of points so that no temporary exceeds 8192
-    matrix entries; the terms are then added up over the irreps in the
+    immaterial because Z absorbs the stabilizer on the right.  The terms
+    come from the core's inverse sum and are added up over the irreps in the
     dual's order, exactly as the pointwise sum adds them.
     """
     coeffs.check_invariants()
-    action, dual = coeffs.action, coeffs.dual
-    decomp = coeffs.structure.decomp
-    order = action.group.order
-    terms = np.empty((len(dual.irreps), action.npoints), dtype=complex)
-    for (d, idx, mats), z in zip(dual.dim_classes, coeffs.blocks):
-        z = np.where(coeffs.members[:, idx, None, None], z, 0.0)  # zero off the reciprocal space
-        step = max(1, 8192 // (len(idx) * d * d))  # points per product
-        for lo in range(0, action.npoints, step):
-            pts = slice(lo, lo + step)
-            # [x, j] = tr(Z(x0, sigma_j) sigma_j(g)) with x0 = rep(x) and g x = x0
-            tr = np.trace(
-                z[decomp.orbit_id[pts]] @ mats[:, decomp.to_rep_element[pts]].swapaxes(0, 1),
-                axis1=2, axis2=3,
-            )
-            tr *= d / order
-            terms[idx, pts] = tr.T
-    f = np.zeros(action.npoints, dtype=complex)
-    for term in terms:
+    dual, decomp = coeffs.dual, coeffs.structure.decomp
+    blocks = [  # zero off the reciprocal space
+        np.where(coeffs.members[:, idx, None, None], z, 0.0)
+        for (_d, idx, _mats), z in zip(dual.dim_classes, coeffs.blocks)
+    ]
+    f = np.zeros(coeffs.action.npoints, dtype=complex)
+    for term in inverse(blocks, decomp.orbit_id, decomp.to_rep_element, dual):
         f += term
     return f
 
@@ -267,26 +247,21 @@ def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:
 def character_zak(action: GroupAction, f, dual: DualObject) -> dict:
     """Scalar traces of the Zak matrices, computed twice and reconciled.
 
-    The defining sum modulates f by the conjugated character; it must equal
-    the entrywise trace of the matrix transform to near machine precision.
+    The defining sum modulates f by the conjugated character, one product
+    with the character table; it must equal the trace of the matrix
+    transform to near machine precision.
     """
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
     coeffs = zak(action, f, dual)
-    inv_perm = action.perm[action.group.inverses]
-    out = {}
-    scale = max(1.0, float(np.linalg.norm(f)))
-    for x0 in coeffs.structure.decomp.representatives:
-        orbit_vals = f[inv_perm[:, x0]]
-        for s in dual.irreps:
-            direct = np.sum(orbit_vals * s.character().conj())
-            via_trace = np.trace(coeffs[(x0, s.label)])
-            if abs(direct - via_trace) > 1e-13 * scale:
-                raise InvariantViolation(
-                    f"character Zak at ({x0},{s.label}) disagrees with tr(Z)"
-                )
-            out[(x0, s.label)] = complex(via_trace)
-    return out
+    reps = coeffs.structure.decomp.representatives
+    direct = f[coeffs.structure.inv_perm[:, reps]].T @ dual.character_table.conj()
+    via_trace = dual.traces(coeffs.blocks)
+    bad = np.argwhere(np.abs(direct - via_trace) > 1e-13 * max(1.0, float(np.linalg.norm(f))))
+    if len(bad):  # the first failing (x0, irrep) pair
+        r, i = bad[0]
+        raise InvariantViolation(f"character Zak at ({reps[r]},{dual.irreps[i].label}) disagrees with tr(Z)")
+    return {(x0, s.label): v for x0, row in zip(reps, via_trace.tolist()) for s, v in zip(dual.irreps, row)}
 
 
 def character_zak_reconstruct(action: GroupAction, f, dual: DualObject) -> tuple[np.ndarray, float]:
@@ -297,13 +272,8 @@ def character_zak_reconstruct(action: GroupAction, f, dual: DualObject) -> tuple
     """
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
-    inv_perm = action.perm[action.group.inverses]
-    order = action.group.order
-    f_rec = np.zeros_like(f)
-    for x in range(action.npoints):
-        orbit_vals = f[inv_perm[:, x]]
-        for s in dual.irreps:
-            f_rec[x] += (s.dim / order) * np.sum(orbit_vals * s.character().conj())
+    orbit_vals = f[action.perm[action.group.inverses]]  # [g, x] = f(g^-1 x)
+    f_rec = (orbit_vals.T @ dual.character_table.conj()) @ dual.plancherel_weight
     resid = float(np.max(np.abs(f_rec - f)) / max(1.0, np.max(np.abs(f))))
     return f_rec, resid
 
@@ -391,10 +361,8 @@ def intertwining_residual(action: GroupAction, f, dual: DualObject) -> float:
     worst = 0.0
     for g in action.group.elements():
         shifted = zak(action, action.pullback(g, f), dual, s)
-        for x0 in s.decomp.representatives:
-            for irr in dual.irreps:
-                delta = shifted[(x0, irr.label)] - irr.matrices[g] @ base[(x0, irr.label)]
-                worst = max(worst, float(np.max(np.abs(delta))))
+        for (_d, _idx, mats), z, z0 in zip(dual.dim_classes, shifted.blocks, base.blocks):
+            worst = max(worst, float(np.max(np.abs(z - mats[:, g] @ z0))))
     return worst
 
 
@@ -408,12 +376,8 @@ def heisenberg_consistency_residual(action: GroupAction, f, dual: DualObject) ->
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
     coeffs = zak(action, f, dual)
-    inv_perm = action.perm[action.group.inverses]
-    worst = 0.0
-    for x0 in coeffs.structure.decomp.representatives:
-        for irr in dual.irreps:
-            if irr.dim != 1:
-                raise SizeMismatch("projective-sum path applies to abelian duals")
-            xi_sum = np.sum(f[inv_perm[:, x0]] * irr.matrices[:, 0, 0].conj())
-            worst = max(worst, abs(xi_sum - coeffs.value(x0, irr.label)))
-    return float(worst)
+    if not dual.is_abelian_dual():
+        raise SizeMismatch("projective-sum path applies to abelian duals")
+    reps = coeffs.structure.decomp.representatives
+    xi_sums = f[coeffs.structure.inv_perm[:, reps]].T @ dual.character_table.conj()
+    return float(np.max(np.abs(xi_sums - dual.traces(coeffs.blocks))))

@@ -5,9 +5,12 @@ before it was batched: one Bloch block and one eigvalsh per wave index,
 one nearest-point search per sample point, a sequential breadth-first
 closure that matches every candidate against every element found so far,
 the scan lookups of the torus folding, the pair-by-pair homomorphism and
-cocycle checks, the orbit scan, and the per-block finite Zak transforms.
-The tests require the library to reproduce them exactly (bands, Zak
-blocks and inverses to 1e-12; orbits and the Weil structure bitwise).
+cocycle checks, the orbit scan, the per-block finite Zak transforms, the
+per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
+bloch), the unfolding loop of the lattice inverse and the dense-matrix
+invariance check.  The tests require the library to reproduce them
+exactly (bands, Zak blocks and inverses to 1e-12; orbits and the Weil
+structure bitwise) and to raise the same exception at the same first item.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ import numpy as np
 
 from zakspace.actions import OrbitDecomposition
 from zakspace.errors import (
+    EquivarianceViolation,
     InvariantViolation,
     NotClosable,
+    NotCosetFunction,
     NotHomomorphism,
+    NotInvariant,
     SampleSetNotClosed,
+    ShapeMismatch,
+    SizeMismatch,
     TruncationExceeded,
 )
 from zakspace.euclid import (
@@ -34,9 +42,8 @@ from zakspace.euclid import (
     inverse,
     translation_subgroup,
 )
-from zakspace.groups import make_group
-from zakspace.reciprocal import fixed_space_projector
-from zakspace.weil import ATOL, Cocycle, bruhat_function
+from zakspace.groups import check_subgroup, left_cosets, make_group
+from zakspace.weil import ATOL, Cocycle, bruhat_function, weil_structure
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +414,242 @@ def image_norm_sq_loop(structure, dual, data) -> float:
         for s in dual.irreps:
             total += mu * (s.dim / order) * float(np.sum(np.abs(data[(x0, s.label)]) ** 2))
     return total
+
+
+def fixed_space_projector(irrep, subgroup_elems) -> np.ndarray:
+    """Average of sigma over H: the orthogonal projector onto H-fixed vectors."""
+    return irrep.matrices[list(subgroup_elems)].mean(axis=0)
+
+
+def extension_gap_loop(coeffs, f, x) -> tuple[dict, float]:
+    """extended_zak's sums at x, one einsum per irrep, and their largest gap from the equivariance law."""
+    action, decomp = coeffs.action, coeffs.structure.decomp
+    orbit_vals = f[action.perm[action.group.inverses, x]]
+    x0, g = decomp.rep_of(x), int(decomp.to_rep_element[x])
+    direct, gap = {}, 0.0
+    for irr in coeffs.dual.irreps:
+        direct[irr.label] = np.einsum("g,gji->ij", orbit_vals, irr.matrices.conj())
+        law = coeffs[(x0, irr.label)] @ irr.matrices[g]
+        gap = max(gap, float(np.max(np.abs(law - direct[irr.label]))))
+    return direct, gap
+
+
+def extended_zak_loop(coeffs, f, x) -> dict:
+    direct, gap = extension_gap_loop(coeffs, f, x)
+    if gap > 1e-12 * max(1.0, float(np.linalg.norm(f))):
+        raise EquivarianceViolation(
+            f"extended Zak at x={x} disagrees with the equivariance law by {gap:g}"
+        )
+    return direct
+
+
+def character_zak_loop(coeffs, f) -> dict:
+    """character_zak's reconciliation, one (x0, irrep) pair at a time."""
+    action, dual = coeffs.action, coeffs.dual
+    inv_perm = action.perm[action.group.inverses]
+    out = {}
+    scale = max(1.0, float(np.linalg.norm(f)))
+    for x0 in coeffs.structure.decomp.representatives:
+        orbit_vals = f[inv_perm[:, x0]]
+        for s in dual.irreps:
+            direct = np.sum(orbit_vals * s.character().conj())
+            via_trace = np.trace(coeffs[(x0, s.label)])
+            if abs(direct - via_trace) > 1e-13 * scale:
+                raise InvariantViolation(
+                    f"character Zak at ({x0},{s.label}) disagrees with tr(Z)"
+                )
+            out[(x0, s.label)] = complex(via_trace)
+    return out
+
+
+def character_zak_reconstruct_loop(action, f, dual) -> np.ndarray:
+    inv_perm = action.perm[action.group.inverses]
+    order = action.group.order
+    f_rec = np.zeros_like(f)
+    for x in range(action.npoints):
+        orbit_vals = f[inv_perm[:, x]]
+        for s in dual.irreps:
+            f_rec[x] += (s.dim / order) * np.sum(orbit_vals * s.character().conj())
+    return f_rec
+
+
+def heisenberg_loop(coeffs, f) -> float:
+    action, dual = coeffs.action, coeffs.dual
+    inv_perm = action.perm[action.group.inverses]
+    worst = 0.0
+    for x0 in coeffs.structure.decomp.representatives:
+        for irr in dual.irreps:
+            if irr.dim != 1:
+                raise SizeMismatch("projective-sum path applies to abelian duals")
+            xi_sum = np.sum(f[inv_perm[:, x0]] * irr.matrices[:, 0, 0].conj())
+            worst = max(worst, abs(xi_sum - coeffs.value(x0, irr.label)))
+    return float(worst)
+
+
+def intertwining_loop(action, f, dual) -> float:
+    from zakspace.zak import zak
+
+    s = weil_structure(action)
+    base = zak(action, f, dual, s)
+    worst = 0.0
+    for g in action.group.elements():
+        shifted = zak(action, action.pullback(g, f), dual, s)
+        for x0 in s.decomp.representatives:
+            for irr in dual.irreps:
+                delta = shifted[(x0, irr.label)] - irr.matrices[g] @ base[(x0, irr.label)]
+                worst = max(worst, float(np.max(np.abs(delta))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# fourier and reciprocal
+
+
+def fourier_loop(f, dual) -> dict:
+    return {s.label: np.einsum("g,gji->ij", f, s.matrices.conj()) for s in dual.irreps}
+
+
+def inverse_fourier_loop(blocks: dict, dual) -> np.ndarray:
+    out = np.zeros(dual.group.order, dtype=complex)
+    for w, s in zip(dual.plancherel_weight, dual.irreps):
+        block = np.asarray(blocks[s.label], dtype=complex)
+        if block.shape != (s.dim, s.dim):
+            raise ShapeMismatch(f"{s.label}: expected {(s.dim, s.dim)}, got {block.shape}")
+        out += w * np.einsum("ij,gji->g", block, s.matrices)
+    return out
+
+
+def reciprocal_space_loop(dual, subgroup) -> tuple[list, dict, dict]:
+    """(members, projectors, multiplicities), one irrep at a time."""
+    sub = check_subgroup(dual.group, subgroup)
+    members, projectors, mults = [], {}, {}
+    for s in dual.irreps:
+        p = fixed_space_projector(s, sub)
+        tr = np.trace(p)
+        mult = int(round(tr.real))
+        if abs(tr - mult) > 1e-6:
+            raise AssertionError(f"{s.label}: trace of projector {tr} is not near an integer")
+        projectors[s.label] = p
+        mults[s.label] = mult
+        if mult >= 1:
+            members.append(s.label)
+    return members, projectors, mults
+
+
+def poisson_compact_loop(f, group, subgroup, dual) -> tuple:
+    members, projectors, _ = reciprocal_space_loop(dual, subgroup)
+    sub = check_subgroup(dual.group, subgroup)
+    lhs = f[sub].sum() / len(sub)
+    fhat = fourier_loop(f, dual)
+    rhs = 0.0 + 0.0j
+    for label in members:
+        s = dual.by_label[label]
+        rhs += (s.dim / group.order) * np.trace(projectors[label] @ fhat[label])
+    return lhs, rhs, float(abs(lhs - rhs))
+
+
+def quotient_fourier_loop(f_on_quotient, group, subgroup, dual) -> float:
+    sub = check_subgroup(group, subgroup)
+    cosets = left_cosets(group, sub)
+    f_in = np.asarray(f_on_quotient, dtype=complex)
+    if f_in.shape == (group.order,):
+        f_coset = np.empty(len(cosets), dtype=complex)
+        for i, coset in enumerate(cosets):
+            vals = f_in[coset]
+            if np.max(np.abs(vals - vals[0])) > 1e-12 * max(1.0, np.max(np.abs(vals))):
+                raise NotCosetFunction(f"f is not constant on coset {coset}")
+            f_coset[i] = vals[0]
+    else:
+        f_coset = f_in
+    members, projectors, _ = reciprocal_space_loop(dual, sub)
+    f_ext = np.empty(group.order, dtype=complex)
+    for i, coset in enumerate(cosets):
+        f_ext[coset] = f_coset[i]
+    fhat = fourier_loop(f_ext, dual)
+    for s in dual.irreps:
+        if s.label not in members and np.max(np.abs(fhat[s.label])) > 1e-10 * max(
+            1.0, float(np.max(np.abs(f_coset)))
+        ):
+            raise AssertionError(f"fhat({s.label}) does not vanish off H^perp")
+    err = 0.0
+    for i, coset in enumerate(cosets):
+        val = 0.0 + 0.0j
+        for label in members:
+            s = dual.by_label[label]
+            sigma_quot = s.matrices[coset[0]] @ projectors[label]
+            val += (s.dim / group.order) * np.trace(fhat[label] @ sigma_quot)
+        err = max(err, abs(val - f_coset[i]))
+    return float(err)
+
+
+def invariance_support_loop(f, dual, subgroup, side="left") -> float:
+    _, projectors, _ = reciprocal_space_loop(dual, subgroup)
+    fhat = fourier_loop(np.asarray(f, dtype=complex), dual)
+    resid = 0.0
+    for s in dual.irreps:
+        p = projectors[s.label]
+        block = fhat[s.label]
+        delta = block @ p - block if side == "left" else p @ block - block
+        resid = max(resid, float(np.max(np.abs(delta))))
+    return resid
+
+
+# ---------------------------------------------------------------------------
+# bloch and lattice
+
+
+def check_invariance_dense(action, h) -> None:
+    """bloch.check_invariance with one dense permutation matrix per element."""
+    scale = max(1.0, float(np.linalg.norm(h)))
+    for g in action.group.elements():
+        pg = action.permutation_matrix(g)
+        if np.linalg.norm(h @ pg - pg @ h) > 1e-10 * scale:
+            raise NotInvariant(g)
+
+
+def symmetry_adapted_basis_loop(action, dual) -> tuple[np.ndarray, list]:
+    """One column per (irrep, row, slot), filled one point at a time."""
+    group = action.group
+    structure = weil_structure(action)
+    decomp = structure.decomp
+    columns, layout = [], []
+    offset = 0
+    for s in dual.irreps:
+        slots = []
+        for oid, x0 in enumerate(decomp.representatives):
+            stab = structure.stabilizers[oid]
+            p = fixed_space_projector(s, stab)
+            w, u = np.linalg.eigh(p)
+            for a in range(s.dim):
+                if w[a] > 0.5:
+                    slots.append((oid, x0, len(stab), u[:, a]))
+        if not slots:
+            continue
+        m_sigma = len(slots)
+        for i in range(s.dim):
+            for oid, x0, stab_size, u in slots:
+                col = np.zeros(action.npoints, dtype=complex)
+                norm = np.sqrt(s.dim * stab_size / group.order)
+                for x in decomp.members[oid]:
+                    g = int(decomp.to_rep_element[x])
+                    col[x] = norm * (u.conj() @ s.matrices[g][:, i])
+                columns.append(col)
+            layout.append((s.label, i, offset, m_sigma))
+            offset += m_sigma
+    return np.column_stack(columns), layout
+
+
+def classic_zak_inverse_loop(grid) -> np.ndarray:
+    """Inverse FFT along the period axes, then the orbits unfolded one sample at a time."""
+    d = grid.ndim_space
+    orbit = np.fft.ifftn(grid.values, axes=tuple(range(d, 2 * d)))
+    samples = np.empty(
+        tuple(grid.cells[a] * grid.periods[a] for a in range(d)), dtype=complex
+    )
+    for x0 in np.ndindex(*grid.cells):
+        for n in np.ndindex(*grid.periods):
+            dest = tuple(
+                (x0[a] - n[a] * grid.cells[a]) % samples.shape[a] for a in range(d)
+            )
+            samples[dest] = orbit[x0 + n]
+    return samples

@@ -9,6 +9,7 @@ from zakspace.bloch import (
     check_invariance,
     ring_hamiltonian,
     ring_translation_action,
+    symmetry_adapted_basis,
     zak_conjugation_residual,
 )
 from zakspace.duals import irreps
@@ -213,3 +214,62 @@ def test_band_structure_matches_block_loop_oracle(m, n):
     assert np.max(np.abs(bs.bands - bands_loop(t, m, n, onsite))) <= 1e-12
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
     assert np.array_equal(bloch_block(t, m, theta, onsite), bloch_block_loop(t, m, theta, onsite))
+
+
+# ---------------------------------------------------------------------------
+# the batched basis and invariance check against their loops in oracles.py
+
+
+def _conjugated(dual, rng):
+    """An equivalent dual in a random unitary basis, so fixed spaces are not coordinate axes."""
+    from zakspace.duals import DualObject
+
+    out = []
+    for s in dual.irreps:
+        q, _ = np.linalg.qr(rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim)))
+        out.append(s.conjugated(q))
+    return DualObject(dual.group, out)
+
+
+def test_symmetry_adapted_basis_matches_the_per_point_loop():
+    from oracles import symmetry_adapted_basis_loop
+    from sample_actions import oracle_actions
+
+    rng = np.random.default_rng(60)
+    for name, action in oracle_actions().items():
+        dual = irreps(action.group)
+        for d in (dual, _conjugated(dual, rng)):
+            basis, layout = symmetry_adapted_basis(action, d)
+            want_basis, want_layout = symmetry_adapted_basis_loop(action, d)
+            assert layout == want_layout, name
+            assert basis.shape == want_basis.shape, name
+            assert np.max(np.abs(basis - want_basis)) <= 1e-12, name
+
+
+def _averaged(action, raw, elements):
+    """raw averaged over the given group elements, invariant under the subgroup they form."""
+    return sum(action.permutation_matrix(g) @ raw @ action.permutation_matrix(g).T for g in elements)
+
+
+def test_check_invariance_fails_at_the_dense_loops_element():
+    from oracles import check_invariance_dense
+    from planted import assert_same_outcome, outcome
+    from sample_actions import oracle_actions
+    from zakspace.groups import generated_subgroup
+
+    rng = np.random.default_rng(61)
+    failed = set()
+    for name, action in oracle_actions().items():
+        if action.npoints > 64:
+            continue
+        raw = rng.normal(size=(action.npoints,) * 2) + 1j * rng.normal(size=(action.npoints,) * 2)
+        raw = raw + raw.conj().T
+        group = action.group
+        for gens in ([], [group.order - 1], list(group.elements())):
+            h = _averaged(action, raw, generated_subgroup(group, gens))
+            got = outcome(check_invariance, action, h)
+            assert_same_outcome(got, outcome(check_invariance_dense, action, h), lambda a, b: True)
+            failed.add(got[0])
+            if got[0] == "raised":
+                assert got[1] is NotInvariant
+    assert failed == {"raised", "returned"}

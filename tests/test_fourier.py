@@ -83,3 +83,40 @@ def test_shape_errors():
     coeffs.blocks["chi0"] = np.eye(2)
     with pytest.raises(ShapeMismatch):
         inverse_fourier(coeffs, dual)
+
+
+# ---------------------------------------------------------------------------
+# the transform core against the per-irrep loops in oracles.py
+
+
+@pytest.mark.parametrize("group", [cyclic_group(7), symmetric_group(4), dihedral_group(6)], ids=["C7", "S4", "D6"])
+def test_fourier_and_inverse_match_the_per_irrep_loops(group):
+    from oracles import fourier_loop, inverse_fourier_loop
+    from zakspace.fourier import FourierCoefficients
+
+    rng = np.random.default_rng(group.order)
+    dual = irreps(group)
+    for _ in range(3):
+        f = random_complex(rng, group.order)
+        fhat, want = fourier(f, dual), fourier_loop(f, dual)
+        assert list(fhat.blocks) == list(want)
+        for label, block in want.items():
+            assert np.max(np.abs(fhat[label] - block)) <= 1e-12
+        blocks = {s.label: random_complex(rng, s.dim**2).reshape(s.dim, s.dim) for s in dual.irreps}
+        back = inverse_fourier(FourierCoefficients(dual, blocks), dual)
+        assert np.max(np.abs(back - inverse_fourier_loop(blocks, dual))) <= 1e-12
+
+
+def test_inverse_fourier_reports_the_loops_first_bad_block():
+    from oracles import inverse_fourier_loop
+    from planted import assert_same_outcome, outcome
+
+    dual = irreps(dihedral_group(5))
+    labels = dual.labels
+    for bad in ([labels[-1]], [labels[1], labels[-1]], labels[::2]):
+        coeffs = fourier(np.ones(10), dual)
+        for label in bad:
+            coeffs.blocks[label] = np.zeros((3, 3))
+        got = outcome(inverse_fourier, coeffs, dual)
+        assert got[:2] == ("raised", ShapeMismatch)
+        assert_same_outcome(got, outcome(inverse_fourier_loop, coeffs.blocks, dual), None)

@@ -110,3 +110,20 @@ def test_lattice_unitarity_report():
     grid = classic_zak(f, cells=(2, 3))
     rep = verify_unitarity(grid, f.ravel())
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "shape, cells", [((12,), (3,)), ((8,), (8,)), ((12,), (1,)), ((8, 6), (4, 2)), ((4, 6, 6), (2, 3, 1))]
+)
+def test_inverse_scatter_matches_the_unfolding_loop(shape, cells):
+    from oracles import classic_zak_inverse_loop
+    from zakspace.lattice import LatticeZakGrid
+
+    rng = np.random.default_rng(sum(shape))
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid = classic_zak(f, cells)
+    assert np.array_equal(classic_zak_inverse(grid), classic_zak_inverse_loop(grid))
+    # any grid of values, not only a transform, unfolds the same way
+    values = rng.normal(size=grid.values.shape) + 1j * rng.normal(size=grid.values.shape)
+    other = LatticeZakGrid(grid.cells, grid.periods, values, grid.samples)
+    assert np.array_equal(classic_zak_inverse(other), classic_zak_inverse_loop(other))

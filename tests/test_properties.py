@@ -8,22 +8,50 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
     bands_loop,
+    character_zak_loop,
+    character_zak_reconstruct_loop,
+    check_invariance_dense,
+    extension_gap_loop,
+    fourier_loop,
+    intertwining_loop,
+    invariance_support_loop,
+    inverse_fourier_loop,
     point_permutation_loop,
+    poisson_compact_loop,
+    quotient_fourier_loop,
+    reciprocal_space_loop,
     stabilizer_tables_loop,
+    symmetry_adapted_basis_loop,
     zak_inverse_loop,
     zak_loop,
 )
+from planted import assert_same_outcome, outcome  # noqa: E402
 from sample_actions import regular_and_cosets  # noqa: E402
-from zakspace.bloch import band_structure  # noqa: E402
+from zakspace.bloch import band_structure, check_invariance, symmetry_adapted_basis  # noqa: E402
 from zakspace.duals import irreps  # noqa: E402
 from zakspace.errors import SampleSetNotClosed  # noqa: E402
 from zakspace.euclid import IsometryElement, IsometryGroupSpec, act, generate, rotation_z  # noqa: E402
 from zakspace.fixtures import random_complex  # noqa: E402
 from zakspace.actions import make_action  # noqa: E402
-from zakspace.groups import cyclic_group, dihedral_group, make_group, symmetric_group  # noqa: E402
+from zakspace.fourier import fourier, inverse_fourier  # noqa: E402
+from zakspace.groups import cyclic_group, dihedral_group, generated_subgroup, make_group, symmetric_group  # noqa: E402
 from zakspace.radiation import _point_permutation  # noqa: E402
 from zakspace.weil import weil_structure  # noqa: E402
-from zakspace.zak import verify_roundtrip, zak, zak_inverse  # noqa: E402
+from zakspace.reciprocal import (  # noqa: E402
+    invariance_support_residual,
+    poisson_compact_check,
+    quotient_fourier_check,
+    reciprocal_space,
+)
+from zakspace.zak import (  # noqa: E402
+    _extension_gaps,
+    character_zak,
+    character_zak_reconstruct,
+    intertwining_residual,
+    verify_roundtrip,
+    zak,
+    zak_inverse,
+)
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -83,8 +111,8 @@ def test_perturbed_point_set_not_closed_on_both_paths(order, dihedral, seeds, wh
 
 
 @st.composite
-def relabelled_actions(draw):
-    """A relabelled cyclic, dihedral, S3 or S4 table acting on itself and on the cosets of <h>."""
+def relabelled_groups(draw):
+    """A cyclic, dihedral, S3 or S4 table with its elements renamed at random."""
     kind = draw(st.sampled_from(["cyclic", "dihedral", "S3", "S4"]))
     if kind == "cyclic":
         base = cyclic_group(draw(st.integers(1, 12))).table
@@ -95,7 +123,14 @@ def relabelled_actions(draw):
     n = len(base)
     relabel = np.array(draw(st.permutations(range(n))))
     inv = np.argsort(relabel)
-    group = make_group(relabel[base[np.ix_(inv, inv)]])  # element g is renamed relabel[g]
+    return make_group(relabel[base[np.ix_(inv, inv)]])  # element g is renamed relabel[g]
+
+
+@st.composite
+def relabelled_actions(draw):
+    """A relabelled group acting on itself and on the cosets of <h>."""
+    group = draw(relabelled_groups())
+    n = group.order
     unweighted = regular_and_cosets(group, draw(st.integers(0, n - 1)))
     m = unweighted.npoints
     weights = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
@@ -118,3 +153,65 @@ def test_batched_zak_matches_loops_on_relabelled_groups(drawn):
     want = zak_inverse_loop(action, dual, weil_structure(action).decomp, blocks, members)
     assert np.max(np.abs(zak_inverse(coeffs) - want)) <= 1e-12
     assert verify_roundtrip(action, f, dual).residual < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the thin callers of the transform core against their loops
+
+
+def _close(a, b) -> bool:
+    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(group=relabelled_groups(), data=st.data())
+def test_fourier_and_reciprocal_match_loops_on_drawn_subgroups(group, data):
+    n = group.order
+    gens = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+    h = generated_subgroup(group, gens)
+    dual = irreps(group)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = random_complex(rng, n)
+    fhat, want = fourier(f, dual), fourier_loop(f, dual)
+    assert all(_close(fhat[label], block) for label, block in want.items())
+    assert _close(inverse_fourier(fhat, dual), inverse_fourier_loop(fhat.blocks, dual))
+    rec = reciprocal_space(dual, h)
+    members, projectors, mults = reciprocal_space_loop(dual, h)
+    assert rec.members == members and rec.multiplicities == mults
+    assert all(_close(rec.projectors[label], p) for label, p in projectors.items())
+    assert _close(poisson_compact_check(f, group, h, dual), poisson_compact_loop(f, group, h, dual))
+    for side in ("left", "right"):
+        assert _close(invariance_support_residual(f, dual, h, side), invariance_support_loop(f, dual, h, side))
+    f_coset = random_complex(rng, n // len(h))
+    assert _close(quotient_fourier_check(f_coset, group, h, dual), quotient_fourier_loop(f_coset, group, h, dual))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(drawn=relabelled_actions(), data=st.data())
+def test_zak_callers_and_bases_match_loops_on_relabelled_actions(drawn, data):
+    action, seed = drawn
+    dual = irreps(action.group)
+    rng = np.random.default_rng(seed)
+    f = random_complex(rng, action.npoints)
+    coeffs = zak(action, f, dual)
+    direct, gaps = _extension_gaps(coeffs, f, np.arange(action.npoints))
+    sums = dual.per_irrep(direct)
+    for x in range(action.npoints):
+        want_direct, want_gap = extension_gap_loop(coeffs, f, x)
+        assert abs(gaps[x] - want_gap) <= 1e-12
+        assert all(_close(z[x], want_direct[s.label]) for s, z in zip(dual.irreps, sums))
+    chars = character_zak(action, f, dual)
+    want = character_zak_loop(coeffs, f)
+    assert list(chars) == list(want) and all(abs(chars[k] - v) <= 1e-12 for k, v in want.items())
+    assert _close(character_zak_reconstruct(action, f, dual)[0], character_zak_reconstruct_loop(action, f, dual))
+    assert abs(intertwining_residual(action, f, dual) - intertwining_loop(action, f, dual)) <= 1e-12
+    basis, layout = symmetry_adapted_basis(action, dual)
+    want_basis, want_layout = symmetry_adapted_basis_loop(action, dual)
+    assert layout == want_layout and _close(basis, want_basis)
+    # an operator averaged over a drawn subgroup fails at the same first element on both paths
+    raw = rng.normal(size=(action.npoints,) * 2) + 1j * rng.normal(size=(action.npoints,) * 2)
+    gens = data.draw(st.lists(st.integers(0, action.group.order - 1), max_size=2))
+    perms = [action.permutation_matrix(g) for g in generated_subgroup(action.group, gens)]
+    h = sum(p @ (raw + raw.conj().T) @ p.T for p in perms)
+    got, want = outcome(check_invariance, action, h), outcome(check_invariance_dense, action, h)
+    assert_same_outcome(got, want, lambda a, b: True)

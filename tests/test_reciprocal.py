@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    invariance_support_loop,
+    poisson_compact_loop,
+    quotient_fourier_loop,
+    reciprocal_space_loop,
+)
+from planted import assert_same_outcome, broken_dual, outcome
 from zakspace.duals import irreps
 from zakspace.errors import NotCosetFunction, NotSubgroup
 from zakspace.fixtures import random_complex, s3_transposition_subgroup
-from zakspace.groups import cyclic_group, symmetric_group
+from zakspace.groups import cyclic_group, dihedral_group, generated_subgroup, left_cosets, symmetric_group
 from zakspace.reciprocal import (
     invariance_support_residual,
     poisson_abelian_check,
@@ -208,3 +215,85 @@ def test_basis_independence_of_poisson_and_multiplicities():
     g = np.zeros(3, dtype=complex)
     g[1] = 1.0
     assert quotient_fourier_check(g, group, h, dual2) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the thin callers of the core against their per-irrep loops in oracles.py
+
+
+def _close(a, b):
+    return all(abs(complex(x) - complex(y)) <= 1e-12 for x, y in zip(np.atleast_1d(a), np.atleast_1d(b)))
+
+
+def _reciprocal_cases():
+    """(group, subgroup, dual): every subgroup generated by one element, plus a two-generator one."""
+    for group in (cyclic_group(6), symmetric_group(3), dihedral_group(5), symmetric_group(4)):
+        dual = irreps(group)
+        for g in group.elements():
+            yield group, generated_subgroup(group, [g]), dual
+        yield group, generated_subgroup(group, [1, group.order - 1]), dual
+
+
+def _reciprocal_matches(rec, want) -> bool:
+    members, projectors, mults = want
+    return (
+        rec.members == members
+        and rec.multiplicities == mults
+        and list(rec.projectors) == list(projectors)
+        and all(np.max(np.abs(rec.projectors[k] - p)) <= 1e-12 for k, p in projectors.items())
+    )
+
+
+def test_reciprocal_checks_match_the_per_irrep_loops():
+    rng = np.random.default_rng(50)
+    for group, h, dual in _reciprocal_cases():
+        assert _reciprocal_matches(reciprocal_space(dual, h), reciprocal_space_loop(dual, h))
+        f = random_complex(rng, group.order)
+        assert _close(poisson_compact_check(f, group, h, dual), poisson_compact_loop(f, group, h, dual))
+        for side in ("left", "right"):
+            assert _close(invariance_support_residual(f, dual, h, side), invariance_support_loop(f, dual, h, side))
+        n_cosets = group.order // len(h)
+        f_coset = random_complex(rng, n_cosets)
+        assert _close(quotient_fourier_check(f_coset, group, h, dual), quotient_fourier_loop(f_coset, group, h, dual))
+
+
+def test_quotient_check_rejects_at_the_loops_first_coset():
+    rng = np.random.default_rng(51)
+    group = symmetric_group(4)
+    dual = irreps(group)
+    h = generated_subgroup(group, [1])
+    cosets = left_cosets(group, h)
+    for picks in ([len(cosets) - 1], [3, len(cosets) - 1], list(range(0, len(cosets), 2))):
+        f = np.empty(group.order, dtype=complex)
+        for c, value in zip(cosets, random_complex(rng, len(cosets))):
+            f[c] = value
+        for i in picks:
+            f[cosets[i][-1]] += 1e-6
+        got = outcome(quotient_fourier_check, f, group, h, dual)
+        assert got[:2] == ("raised", NotCosetFunction)
+        assert_same_outcome(got, outcome(quotient_fourier_loop, f, group, h, dual), None)
+
+
+def test_broken_duals_fail_where_the_loops_fail():
+    """A dual off a homomorphism: projectors that are not projectors, support that does not vanish."""
+    rng = np.random.default_rng(52)
+    seen = set()
+    for group, h, dual in _reciprocal_cases():
+        for scale in (1e-8, 1e-3):
+            # sigma(e) stays put: the Poisson sum is the inverse sum at e, which multiplies by it
+            bad = broken_dual(dual, rng, [max(h[-1], 1)], scale)
+            want = outcome(reciprocal_space_loop, bad, h)
+            got = outcome(reciprocal_space, bad, h)
+            # the trace printed in the message may differ in its last digit: the label must agree
+            assert_same_outcome(got, want, _reciprocal_matches, lambda text: text.split(":")[0])
+            f = random_complex(rng, group.order)
+            f_coset = random_complex(rng, group.order // len(h))
+            for new, old, args in (
+                (poisson_compact_check, poisson_compact_loop, (f, group, h, bad)),
+                (invariance_support_residual, invariance_support_loop, (f, bad, h)),
+                (quotient_fourier_check, quotient_fourier_loop, (f_coset, group, h, bad)),
+            ):
+                want = outcome(old, *args)
+                assert_same_outcome(outcome(new, *args), want, _close, lambda text: text.split(":")[0])
+                seen.add(want[1] if want[0] == "raised" else None)
+    assert seen == {None, AssertionError}

@@ -1,13 +1,22 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from oracles import (
+    character_zak_loop,
+    character_zak_reconstruct_loop,
     check_invariants_loop,
+    extended_zak_loop,
+    extension_gap_loop,
+    heisenberg_loop,
     image_norm_sq_loop,
+    intertwining_loop,
     stabilizer_tables_loop,
     zak_inverse_loop,
     zak_loop,
 )
+from planted import assert_same_outcome, broken_dual, outcome, perturbed_coefficients
 from sample_actions import oracle_actions
 from zakspace.duals import irreps
 from zakspace.errors import DualGroupMismatch, InvariantViolation, NotRepresentative, SizeMismatch
@@ -18,7 +27,8 @@ from zakspace.fixtures import (
     z2_fixed_point,
     z2_swap,
 )
-from zakspace.groups import cyclic_group
+from zakspace.actions import translation_action
+from zakspace.groups import cyclic_group, dihedral_group
 from zakspace.weil import weil_structure
 from zakspace.zak import (
     ZakCoefficients,
@@ -354,3 +364,85 @@ def test_zak_data_must_cover_every_pair():
     data[(2, "chi1")] = np.zeros((2, 2))
     with pytest.raises(SizeMismatch):
         ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+
+
+# ---------------------------------------------------------------------------
+# the thin callers of the core against their loops in oracles.py
+
+
+def _close(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) <= 1e-12
+
+
+def _dicts_close(got, want):
+    return list(got) == list(want) and all(_close(got[key], want[key]) for key in want)
+
+
+def _planted_tables(rng):
+    """(name, action, f, coeffs) for every oracle action: the true table, then noise on some blocks."""
+    for name, action in oracle_actions().items():
+        dual = _dual_for(action)
+        f = random_complex(rng, action.npoints)
+        coeffs = zak(action, f, dual)
+        keys = list(coeffs.data)
+        yield name, action, f, coeffs
+        for picks in ([keys[-1]], keys[len(keys) // 2 :: 3], keys[::2]):
+            yield name, action, f, perturbed_coefficients(coeffs, rng, picks)
+
+
+def test_extension_gaps_and_extended_zak_match_the_per_point_loop(monkeypatch):
+    from zakspace.zak import _extension_gaps
+
+    zakmod = importlib.import_module("zakspace.zak")  # the package exports the function zak under the same name
+    rng = np.random.default_rng(40)
+    seen = set()
+    for name, action, f, coeffs in _planted_tables(rng):
+        dual = coeffs.dual
+        direct, gaps = _extension_gaps(coeffs, f, np.arange(action.npoints))
+        sums = dual.per_irrep(direct)
+        want = [extension_gap_loop(coeffs, f, x) for x in range(action.npoints)]
+        for x, (want_direct, want_gap) in enumerate(want):
+            assert abs(gaps[x] - want_gap) <= 1e-12, (name, x)
+            for s, z in zip(dual.irreps, sums):
+                assert _close(z[x], want_direct[s.label]), (name, x, s.label)
+        monkeypatch.setattr(zakmod, "zak", lambda *args, coeffs=coeffs: coeffs)
+        worst = max(gap for _direct, gap in want) / max(1.0, float(np.linalg.norm(f)))
+        assert abs(zakmod.equivariance_residual(action, f, dual) - worst) <= 1e-12, name
+        for x in range(0, action.npoints, 1 + action.npoints // 32):
+            got = outcome(extended_zak, action, f, dual, x)
+            assert_same_outcome(got, outcome(extended_zak_loop, coeffs, f, x), _dicts_close)
+            seen.add(got[0])
+    assert seen == {"raised", "returned"}
+
+
+def test_character_paths_match_the_per_pair_loops(monkeypatch):
+    zakmod = importlib.import_module("zakspace.zak")  # the package exports the function zak under the same name
+
+    rng = np.random.default_rng(42)
+    seen = set()
+    for name, action, f, coeffs in _planted_tables(rng):
+        dual = coeffs.dual
+        monkeypatch.setattr(zakmod, "zak", lambda *args, coeffs=coeffs: coeffs)
+        want = outcome(character_zak_loop, coeffs, f)
+        assert_same_outcome(outcome(character_zak, action, f, dual), want, _dicts_close)
+        seen.add(want[0])
+        want = outcome(heisenberg_loop, coeffs, f)
+        assert_same_outcome(outcome(heisenberg_consistency_residual, action, f, dual), want, _close)
+        got, _ = character_zak_reconstruct(action, f, dual)
+        assert _close(got, character_zak_reconstruct_loop(action, f, dual)), name
+    assert seen == {"raised", "returned"}
+
+
+def test_intertwining_matches_the_per_pair_loop():
+    rng = np.random.default_rng(43)
+    for name, action in oracle_actions().items():
+        dual = _dual_for(action)
+        f = random_complex(rng, action.npoints)
+        assert abs(intertwining_residual(action, f, dual) - intertwining_loop(action, f, dual)) <= 1e-12, name
+    # a dual that is not a homomorphism breaks the law; both paths see the same gap
+    for action in (s3_translation(), translation_action(dihedral_group(5))):  # free, so every block is supported
+        dual = broken_dual(_dual_for(action), rng, [1, action.group.order - 1])
+        f = random_complex(rng, action.npoints)
+        got = intertwining_residual(action, f, dual)
+        assert got > 1e-6
+        assert abs(got - intertwining_loop(action, f, dual)) <= 1e-12

@@ -227,7 +227,7 @@ def band_structure(t: float, m: int, n: int, onsite, jobs: int = 1) -> BandStruc
     """Bands of the (t, V) chain: one M x M Bloch block per wave index.
 
     All N blocks are built as one (N, M, M) array and solved by a single
-    batched eigvalsh.  `jobs` is accepted and ignored.
+    batched eigvalsh.  `jobs` is ignored (see the zakspace.cli docstring).
     """
     onsite = np.asarray(onsite, dtype=float)
     if onsite.shape != (m,):

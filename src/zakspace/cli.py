@@ -8,10 +8,16 @@
     zakspace diffract run|verify config.json
     zakspace suite all
 
-Shared flags: --seed (all randomness), --jobs (accepted and ignored: no
-command uses workers, so output bytes never depend on it), --tol
-(replaces the tolerance of every check in a verify report; finite and
-positive), --out (write the artifact to a file instead of stdout).
+Shared flags: --seed (all randomness), --jobs, --tol (replaces the
+tolerance of every check in a verify report; finite and positive), --out
+(write the artifact to a file instead of stdout).
+
+--jobs, and the `jobs` keyword of suite.run_suite and
+bloch.band_structure, is accepted and ignored.  No command uses workers:
+band solves are one batched eigvalsh and `suite all` runs serially, so
+output bytes never depend on it.  The flag stays so that command lines
+and scripts that pass it keep working.
+
 Relative input paths are also tried under $ZAKSPACE_DATA.  Exit codes: 0
 success, 1 verification failure, 2 malformed input or schema violation,
 with one JSON line on stderr.
@@ -390,7 +396,7 @@ def _cmd_suite_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored (no command uses workers)")
+    common.add_argument("--jobs", type=int, default=1, help="ignored (see the module docstring)")
     common.add_argument("--tol", type=float, default=None, help="tolerance of every check (finite, > 0)")
     common.add_argument("--out", type=str, default=None, help="write output to this path")
 

@@ -13,6 +13,8 @@ lattice grids and stores one record per (representative, irrep) block.
 
 from __future__ import annotations
 
+import math
+import operator
 import struct
 
 import numpy as np
@@ -22,8 +24,7 @@ from .duals import DualObject, UnitaryIrrep, validate_dual
 from .errors import ConfigError
 from .groups import FiniteGroup, make_group
 from .lattice import MAGIC
-from .zak import ZakCoefficients
-from .weil import weil_structure
+from .zak import ZakCoefficients, stack_blocks
 
 
 def encode_complex(z: complex) -> list:
@@ -35,7 +36,11 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(entries, shape) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entries]).reshape(shape)
+    """Entries in row-major order, as decode_vector reads them, in a matrix of the given shape."""
+    flat = decode_vector(entries)
+    if flat.size != math.prod(shape):
+        raise ConfigError(f"a {'x'.join(map(str, shape))} matrix needs {math.prod(shape)} entries, got {flat.size}")
+    return flat.reshape(shape)
 
 
 def encode_vector(v: np.ndarray) -> list:
@@ -59,6 +64,39 @@ def decode_vector(entries) -> np.ndarray:
     return out
 
 
+def _typed(value, kind: type, what: str):
+    """value, if it is a kind (dict, list or str); anything else is a ConfigError."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be a {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _fields(doc, keys, what: str) -> list:
+    """doc[key] for each key; a ConfigError names the missing ones."""
+    missing = [key for key in keys if key not in _typed(doc, dict, what)]
+    if missing:
+        raise ConfigError(f"{what} needs {missing}")
+    return [doc[key] for key in keys]
+
+
+def _integer(value, what: str, least: int) -> int:
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+    return n
+
+
+def _built(make, what: str, *args, **kwargs):
+    """make(*args, **kwargs) on a document's entries; a ValueError or TypeError from them is a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed {what}: {err}") from err
+
+
 # ---------------------------------------------------------------------------
 # groups and actions
 
@@ -69,7 +107,7 @@ def group_from_dict(doc: dict) -> FiniteGroup:
     table = doc["table"]
     if "order" in doc and len(table) != doc["order"]:
         raise ConfigError(f"declared order {doc['order']} != table size {len(table)}")
-    return make_group(table, name=doc.get("name"))
+    return _built(make_group, "group table", table, name=doc.get("name"))
 
 
 def action_from_dict(doc: dict) -> GroupAction:
@@ -79,7 +117,7 @@ def action_from_dict(doc: dict) -> GroupAction:
     perm = doc["perm"]
     if "points" in doc and perm and len(perm[0]) != doc["points"]:
         raise ConfigError(f"declared points {doc['points']} != perm width {len(perm[0])}")
-    return make_action(group, perm, doc.get("weights"))
+    return _built(make_action, "action", group, perm, doc.get("weights"))
 
 
 def action_to_dict(action: GroupAction) -> dict:
@@ -108,14 +146,16 @@ def dual_to_dict(dual: DualObject) -> dict:
 
 
 def dual_from_dict(doc: dict) -> DualObject:
-    group = make_group(doc["table"])
+    table, items = _fields(doc, ("table", "irreps"), "dual document")
+    group = _built(make_group, "group table", table)
     irreps = []
-    for item in doc["irreps"]:
-        d = int(item["dim"])
-        mats = np.stack(
-            [decode_matrix(entries, (d, d)) for entries in item["matrices"]]
-        )
-        irreps.append(UnitaryIrrep(item["label"], d, mats))
+    for item in _typed(items, list, "irreps"):
+        label, dim, matrices = _fields(item, ("label", "dim", "matrices"), "irrep")
+        d = _integer(dim, "irrep dim", 1)
+        if len(_typed(matrices, list, "irrep matrices")) != group.order:
+            raise ConfigError(f"irrep {label} needs one matrix per group element")
+        mats = np.stack([decode_matrix(m, (d, d)) for m in matrices])
+        irreps.append(UnitaryIrrep(_typed(label, str, "irrep label"), d, mats))
     dual = DualObject(group, irreps)
     validate_dual(dual)
     return dual
@@ -145,14 +185,18 @@ def zak_to_dict(coeffs: ZakCoefficients) -> dict:
 
 
 def zak_from_dict(doc: dict) -> ZakCoefficients:
-    action = action_from_dict(doc["action"])
-    dual = dual_from_dict(doc["dual"])
-    structure = weil_structure(action)
+    action_doc, dual_doc, items = _fields(doc, ("action", "dual", "blocks"), "zak document")
+    action = action_from_dict(action_doc)
+    dual = dual_from_dict(dual_doc)
     data = {}
-    for item in doc["blocks"]:
-        d = int(item["dim"])
-        data[(int(item["x0"]), item["label"])] = decode_matrix(item["values"], (d, d))
-    coeffs = ZakCoefficients(action, dual, structure, data, float(doc.get("f_norm", 1.0)))
+    for item in _typed(items, list, "blocks"):
+        x0, label, dim, values = _fields(item, ("x0", "label", "dim", "values"), "zak block")
+        d = _integer(dim, "block dim", 1)
+        data[(_integer(x0, "block x0", 0), _typed(label, str, "block label"))] = decode_matrix(values, (d, d))
+    f_norm = doc.get("f_norm", 1.0)
+    if not (isinstance(f_norm, (int, float)) and math.isfinite(f_norm)):
+        raise ConfigError(f"f_norm must be a finite number, got {f_norm!r}")
+    coeffs = ZakCoefficients(action, dual, stack_blocks(action, dual, data), float(f_norm))
     coeffs.check_invariants()
     return coeffs
 

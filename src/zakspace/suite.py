@@ -100,11 +100,8 @@ def check_radiation_recovery(name, elements, dual, k, n, setups) -> Verification
 def _weil_check(name, make, which):
     def run(rng):
         action = make()
-        s = weil.weil_structure(action)
         fn = weil.weil_residual if which == "weil" else weil.mackey_bruhat_residual
-        worst = max(
-            fn(action, random_complex(rng, action.npoints), s) for _ in range(20)
-        )
+        worst = max(fn(action, random_complex(rng, action.npoints)) for _ in range(20))
         return VerificationReport(f"{which}_formula[{name}]", worst, 1e-12)
 
     return run
@@ -344,7 +341,7 @@ def _build_checks() -> list:
 def run_suite(seed: int = 0, jobs: int = 1) -> dict:
     """Run every check in order; check i draws from a generator seeded by (seed, i).
 
-    `jobs` is accepted and ignored: the checks run serially in one loop.
+    `jobs` is ignored (see the zakspace.cli docstring).
     """
     reports = [check(np.random.default_rng([seed, i])) for i, check in enumerate(_build_checks())]
     n_pass = sum(r.passed for r in reports)

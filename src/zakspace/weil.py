@@ -24,6 +24,7 @@ every pair of group elements and the functional equation of q.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +116,7 @@ def weil_measures(action: GroupAction, coc: Cocycle, decomp: OrbitDecomposition 
     mean_at_rep = np.array(decomp.stabilizer_sizes, dtype=float)  # A delta_rep at rep
     measures = coc.q[reps] * action.weights[reps] / mean_at_rep
     fd = {rep: measures[oid] for oid, rep in enumerate(reps)}
-    return OrbitDecomposition(
-        decomp.orbit_id,
-        decomp.representatives,
-        decomp.members,
-        decomp.to_rep_element,
-        decomp.stabilizer_sizes,
-        orbit_measure=measures,
-        fd_measure=fd,
-    )
+    return dataclasses.replace(decomp, orbit_measure=measures, fd_measure=fd)
 
 
 @dataclass
@@ -163,18 +156,18 @@ def weil_structure(action: GroupAction) -> WeilStructure:
     return action.weil
 
 
-def weil_residual(action: GroupAction, f, structure: WeilStructure | None = None) -> float:
+def weil_residual(action: GroupAction, f) -> float:
     """|sum f q w - sum mu(O) A f(O)|, normalized by the l1 norm of f."""
-    s = structure or weil_structure(action)
+    s = weil_structure(action)
     f = np.asarray(f, dtype=complex)
     lhs = np.sum(f * s.point_measure)
     rhs = np.sum(s.decomp.orbit_measure * orbital_mean(action, f))
     return float(abs(lhs - rhs) / max(1.0, np.sum(np.abs(f))))
 
 
-def mackey_bruhat_residual(action: GroupAction, f, structure: WeilStructure | None = None) -> float:
+def mackey_bruhat_residual(action: GroupAction, f) -> float:
     """|sum f w - sum mu(O) A_q f(O)| for the q-weighted orbital mean."""
-    s = structure or weil_structure(action)
+    s = weil_structure(action)
     f = np.asarray(f, dtype=complex)
     lhs = np.sum(f * action.weights)
     rhs = np.sum(s.decomp.orbit_measure * orbital_mean(action, f, s.cocycle))

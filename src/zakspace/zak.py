@@ -15,6 +15,8 @@ the orbit-supported eigen-measures all live here.
 zak and extended_zak are the core's `forward` (fourier.py) on orbit functions,
 zak_inverse its `inverse`, the stabilizer projectors its `subgroup_projectors`;
 the character variants and zak_measure_eval stay independent checks of it.
+A table is stored only as the core's stacks, one (representatives, k, d, d)
+array per dimension class; its (x0, label) dict `data` is a view of them.
 """
 
 from __future__ import annotations
@@ -69,48 +71,43 @@ class ZakCoefficients:
     zeros rather than omitted, so violations of the support law are
     observable.  Scalars (abelian duals) are 1x1 matrices; use value().
 
-    For each dimension class of dual.dim_classes, `blocks` holds one
-    read-only (representatives, k, d, d) array and `projectors` the
-    stabilizer projectors (the mean of sigma over the stabilizer of x0) in
-    the same layout.  members[r, i] says whether irrep i lies in the
-    reciprocal space of the stabilizer of representative r.  `data` maps
-    (x0, label) to views of the blocks, in the order of the dict the table
-    was made from.
+    The table is stored once: for each dimension class of dual.dim_classes,
+    `blocks` holds one read-only (representatives, k, d, d) array, as the
+    core's forward sum returns it, and `projectors` the stabilizer
+    projectors (the mean of sigma over the stabilizer of x0) in the same
+    layout.  members[r, i] says whether irrep i lies in the reciprocal
+    space of the stabilizer of representative r.  `data` and
+    `stab_members` are (x0, label) dicts derived from these on first read,
+    in (representative, irrep) order; the values of `data` are views of
+    `blocks`.  The structure is the one kept on the action.
     """
 
-    def __init__(self, action, dual, structure, data, f_norm):
-        self.action = action
-        self.dual = dual
-        self.structure = structure
-        self.f_norm = f_norm
-        reps = structure.decomp.representatives
-        if data.keys() != {(x0, s.label) for x0 in reps for s in dual.irreps}:
-            raise SizeMismatch("Zak data needs one block per (representative, irrep) pair")
-        self.projectors = subgroup_projectors(dual, structure.stabilizers)
-        self.members = np.rint(dual.traces(self.projectors).real) >= 1
-        self.blocks, views = [], {}
-        for d, idx, _mats in dual.dim_classes:
-            keys = [[(x0, dual.irreps[i].label) for i in idx] for x0 in reps]
-            try:
-                z = np.array([[data[key] for key in row] for row in keys], dtype=complex)
-            except ValueError:  # blocks of different shapes
-                z = None
-            if z is None or z.shape != (len(reps), len(idx), d, d):
-                raise SizeMismatch(f"Zak blocks of {d}-dimensional irreps must be {d}x{d}")
+    def __init__(self, action, dual, blocks, f_norm):
+        self.action, self.dual, self.f_norm = action, dual, f_norm
+        self.structure = weil_structure(action)
+        n = len(self.structure.decomp.representatives)
+        if [np.shape(z) for z in blocks] != [(n, len(idx), d, d) for d, idx, _m in dual.dim_classes]:
+            raise SizeMismatch("Zak blocks need one (representatives, k, d, d) stack per irrep dimension d")
+        self.blocks = list(blocks)
+        for z in self.blocks:
             z.setflags(write=False)
-            self.blocks.append(z)
-            for row, zrow in zip(keys, z):
-                views.update(zip(row, zrow))
-        self.data = {key: views[key] for key in data}  # (x0, label) -> (d, d) view
+        self.projectors = subgroup_projectors(dual, self.structure.stabilizers)
+        self.members = np.rint(dual.traces(self.projectors).real) >= 1
+
+    def _by_key(self, rows) -> dict:
+        """(x0, label) -> rows[r][i], in (representative, irrep) order."""
+        reps, labels = self.structure.decomp.representatives, self.dual.labels
+        return {(x0, label): v for x0, row in zip(reps, rows) for label, v in zip(labels, row)}
+
+    @cached_property
+    def data(self) -> dict:
+        """(x0, label) -> the (d, d) block, a read-only view of `blocks`."""
+        return self._by_key(zip(*self.dual.per_irrep(self.blocks)))
 
     @cached_property
     def stab_members(self) -> dict:
         """(x0, label) -> whether sigma lies in the reciprocal space of the stabilizer of x0."""
-        return {
-            (x0, s.label): m
-            for x0, row in zip(self.structure.decomp.representatives, self.members.tolist())
-            for s, m in zip(self.dual.irreps, row)
-        }
+        return self._by_key(self.members.tolist())
 
     def __getitem__(self, key):
         return self.data[key]
@@ -125,25 +122,22 @@ class ZakCoefficients:
         """Assert stabilizer-support vanishing and the projection identity.
 
         Each dimension class is checked as one stack.  The failure reported
-        is that of the first failing block in the order of `data`, and the
-        vanishing law is reported before the projection identity.
+        is that of the first failing block in (representative, irrep) order,
+        and for that block the vanishing law is reported before the
+        projection identity.
         """
         tol = 1e-12 * max(1.0, self.f_norm)
-        reps = self.structure.decomp.representatives
-        failures = {}  # (x0, label) -> True if off the reciprocal space
+        off, unfixed = np.zeros((2, *self.members.shape), dtype=bool)
         for (_d, idx, _mats), z, p in zip(self.dual.dim_classes, self.blocks, self.projectors):
-            off = ~self.members[:, idx] & (np.linalg.norm(z, axis=(2, 3)) > tol)
-            unfixed = np.abs(z @ p - z).max(axis=(2, 3)) > tol
-            for r, j in zip(*np.nonzero(off | unfixed)):
-                failures[(reps[r], self.dual.irreps[idx[j]].label)] = bool(off[r, j])
-        if failures:
-            order = {key: i for i, key in enumerate(self.data)}
-            x0, label = min(failures, key=order.__getitem__)
-            if failures[(x0, label)]:
-                raise InvariantViolation(
-                    f"Z({x0},{label}) = {np.linalg.norm(self.data[(x0, label)]):g} off the reciprocal space"
-                )
-            raise InvariantViolation(f"Z({x0},{label}) P != Z({x0},{label})")
+            off[:, idx] = ~self.members[:, idx] & (np.linalg.norm(z, axis=(2, 3)) > tol)
+            unfixed[:, idx] = np.abs(z @ p - z).max(axis=(2, 3)) > tol
+        bad = np.argwhere(off | unfixed)
+        if len(bad):
+            r, i = bad[0]
+            x0, label = self.structure.decomp.representatives[r], self.dual.labels[i]
+            norm = np.linalg.norm(self[x0, label])
+            law = f"= {norm:g} off the reciprocal space" if off[r, i] else f"P != Z({x0},{label})"
+            raise InvariantViolation(f"Z({x0},{label}) {law}")
 
     def image_norm_sq(self) -> float:
         """sum over x0 of mu_F(x0) sum_sigma (d/|G|) ||Z||_HS^2, added up in (x0, irrep) order."""
@@ -170,21 +164,33 @@ def _check_dual(action: GroupAction, dual: DualObject) -> None:
 
 
 def zak(action: GroupAction, f, dual: DualObject, structure: WeilStructure | None = None) -> ZakCoefficients:
-    """Zak transform of f over the canonical fundamental domain: the core's forward sum on the orbit functions."""
+    """Zak transform of f, the core's forward sum on the orbit functions; `structure` may only be the action's own."""
     _check_dual(action, dual)
     f = np.asarray(f, dtype=complex)
     if f.shape != (action.npoints,):
         raise SizeMismatch(f"f must have shape ({action.npoints},), got {f.shape}")
-    s = structure or weil_structure(action)
-    reps = s.decomp.representatives
-    orbit_vals = f[s.inv_perm[:, reps]]  # [g, r] = f(g^-1 x0_r)
-    per_irrep = dual.per_irrep(forward(orbit_vals, dual))  # irrep i -> (reps, d, d)
-    data = {
-        (x0, irr.label): per_irrep[i][r] for r, x0 in enumerate(reps) for i, irr in enumerate(dual.irreps)
-    }
-    coeffs = ZakCoefficients(action, dual, s, data, float(np.linalg.norm(f)))
+    s = weil_structure(action)
+    if structure is not None and structure is not s:
+        raise ValueError("structure must be the one kept on the action, weil_structure(action)")
+    orbit_vals = f[s.inv_perm[:, s.decomp.representatives]]  # [g, r] = f(g^-1 x0_r)
+    coeffs = ZakCoefficients(action, dual, forward(orbit_vals, dual), float(np.linalg.norm(f)))
     coeffs.check_invariants()
     return coeffs
+
+
+def stack_blocks(action: GroupAction, dual: DualObject, data) -> list[np.ndarray]:
+    """The ZakCoefficients stacks of a (x0, label) -> (d, d) mapping in any key order, such as a file's blocks.
+
+    The mapping needs exactly one block per (representative, irrep) pair,
+    each d x d for its irrep; anything else raises SizeMismatch.
+    """
+    reps = weil_structure(action).decomp.representatives
+    if data.keys() != {(x0, label) for x0 in reps for label in dual.labels}:
+        raise SizeMismatch("Zak data needs one block per (representative, irrep) pair")
+    rows = [[data[(x0, s.label)] for s in dual.irreps] for x0 in reps]
+    if any(np.shape(z) != (s.dim, s.dim) for row in rows for z, s in zip(row, dual.irreps)):
+        raise SizeMismatch("each Zak block must be d x d, d the dimension of its irrep")
+    return [np.array([[row[i] for i in idx] for row in rows], dtype=complex) for _d, idx, _m in dual.dim_classes]
 
 
 def _extension_gaps(coeffs: ZakCoefficients, f: np.ndarray, points) -> tuple[list, np.ndarray]:
@@ -261,7 +267,7 @@ def character_zak(action: GroupAction, f, dual: DualObject) -> dict:
     if len(bad):  # the first failing (x0, irrep) pair
         r, i = bad[0]
         raise InvariantViolation(f"character Zak at ({reps[r]},{dual.irreps[i].label}) disagrees with tr(Z)")
-    return {(x0, s.label): v for x0, row in zip(reps, via_trace.tolist()) for s, v in zip(dual.irreps, row)}
+    return coeffs._by_key(via_trace.tolist())
 
 
 def character_zak_reconstruct(action: GroupAction, f, dual: DualObject) -> tuple[np.ndarray, float]:
@@ -314,8 +320,8 @@ def zak_measure_eigenlaw_residual(action: GroupAction, dual: DualObject, x0: int
 
 def weak_inversion_residual(action: GroupAction, f, phi, dual: DualObject) -> float:
     """Pairing of Z f with the eigen-measures recovers sum f phi q w."""
-    s = weil_structure(action)
-    coeffs = zak(action, f, dual, s)
+    coeffs = zak(action, f, dual)
+    s = coeffs.structure
     phi = np.asarray(phi, dtype=complex)
     order = action.group.order
     total = 0.0 + 0.0j
@@ -356,11 +362,10 @@ def verify_roundtrip(action: GroupAction, f, dual: DualObject) -> VerificationRe
 
 def intertwining_residual(action: GroupAction, f, dual: DualObject) -> float:
     """max over g of || Z[g . f] - sigma(g) Z f ||, exhaustive in g."""
-    s = weil_structure(action)
-    base = zak(action, f, dual, s)
+    base = zak(action, f, dual)
     worst = 0.0
     for g in action.group.elements():
-        shifted = zak(action, action.pullback(g, f), dual, s)
+        shifted = zak(action, action.pullback(g, f), dual)
         for (_d, _idx, mats), z, z0 in zip(dual.dim_classes, shifted.blocks, base.blocks):
             worst = max(worst, float(np.max(np.abs(z - mats[:, g] @ z0))))
     return worst

@@ -490,10 +490,10 @@ def intertwining_loop(action, f, dual) -> float:
     from zakspace.zak import zak
 
     s = weil_structure(action)
-    base = zak(action, f, dual, s)
+    base = zak(action, f, dual)
     worst = 0.0
     for g in action.group.elements():
-        shifted = zak(action, action.pullback(g, f), dual, s)
+        shifted = zak(action, action.pullback(g, f), dual)
         for x0 in s.decomp.representatives:
             for irr in dual.irreps:
                 delta = shifted[(x0, irr.label)] - irr.matrices[g] @ base[(x0, irr.label)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from zakspace.duals import DualObject, UnitaryIrrep
-from zakspace.zak import ZakCoefficients
+from zakspace.zak import ZakCoefficients, stack_blocks
 
 
 def broken_dual(dual: DualObject, rng: np.random.Generator, elements, scale: float = 1e-3) -> DualObject:
@@ -24,7 +24,7 @@ def perturbed_coefficients(coeffs: ZakCoefficients, rng: np.random.Generator, ke
     data = {key: np.array(block) for key, block in coeffs.data.items()}
     for key in keys:
         data[key] = data[key] + scale * (rng.normal(size=data[key].shape) + 1j * rng.normal(size=data[key].shape))
-    return ZakCoefficients(coeffs.action, coeffs.dual, coeffs.structure, data, coeffs.f_norm)
+    return ZakCoefficients(coeffs.action, coeffs.dual, stack_blocks(coeffs.action, coeffs.dual, data), coeffs.f_norm)
 
 
 def outcome(fn, *args, **kwargs):

@@ -104,10 +104,9 @@ def test_criterion_3_zak_unitarity_and_inversion():
     for name, make in BUNDLED_ACTIONS.items():
         action = make()
         dual = irreps(action.group)
-        s = weil_structure(action)
         for _ in range(100):
             f = random_complex(rng, action.npoints)
-            coeffs = zak(action, f, dual, s)
+            coeffs = zak(action, f, dual)
             worst_rt = max(worst_rt, verify_roundtrip(action, f, dual).residual)
             worst_norm = max(worst_norm, verify_unitarity(coeffs, f).residual)
     elapsed = time.perf_counter() - t0
@@ -125,12 +124,11 @@ def test_criterion_4_intertwining_equivariance_vanishing():
     for name, make in BUNDLED_ACTIONS.items():
         action = make()
         dual = irreps(action.group)
-        s = weil_structure(action)
         f = random_complex(rng, action.npoints)
         norm2 = float(np.linalg.norm(f))
         worst_int = max(worst_int, intertwining_residual(action, f, dual))
         worst_equiv = max(worst_equiv, equivariance_residual(action, f, dual))
-        base = zak(action, f, dual, s)
+        base = zak(action, f, dual)
         for (x0, label), block in base.data.items():
             if not base.stab_members[(x0, label)]:
                 worst_vanish = max(worst_vanish, float(np.linalg.norm(block)) / norm2)

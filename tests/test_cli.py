@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zakspace.cli import main
-from zakspace.serialize import action_to_dict, encode_vector
-from zakspace.fixtures import z2_fixed_point, z4_rotation
+from zakspace.duals import irreps
+from zakspace.serialize import action_to_dict, encode_vector, zak_to_dict
+from zakspace.fixtures import BUNDLED_ACTIONS, d3_triangle, random_complex, z2_fixed_point, z4_rotation
+from zakspace.zak import zak
 
 
 def write(tmp_path, name, doc):
@@ -61,6 +63,95 @@ def test_zak_inverse_missing_block_exit_2(tmp_path, capsys, dropped):
     assert main(["zak", "inverse", write(tmp_path, "short.json", doc)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "SizeMismatch"
+
+
+def _forward_doc(tmp_path, action, f):
+    """The document `zak forward` writes for f, read back."""
+    cfg = {"action": action_to_dict(action), "f": encode_vector(f)}
+    fwd_path = tmp_path / "coeffs.json"
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", str(fwd_path)]) == 0
+    return json.loads(fwd_path.read_text())
+
+
+def test_zak_inverse_ignores_block_order(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for name, make in BUNDLED_ACTIONS.items():
+        action = make()
+        doc = _forward_doc(tmp_path, action, random_complex(rng, action.npoints))
+        assert main(["zak", "inverse", write(tmp_path, "fwd.json", doc)]) == 0
+        want = capsys.readouterr().out
+        doc["blocks"].reverse()
+        assert main(["zak", "inverse", write(tmp_path, "rev.json", doc)]) == 0
+        assert capsys.readouterr().out == want, name
+
+
+def test_zak_inverse_reports_the_first_defect_in_canonical_order(tmp_path, capsys):
+    # D3 on a triangle: the stabilizer of vertex 0 has order 2, so the sign block
+    # must vanish and the 2-d block must be fixed by its projector; break both
+    rng = np.random.default_rng(6)
+    doc = _forward_doc(tmp_path, d3_triangle(), random_complex(rng, 3))
+    labels = [item["label"] for item in doc["dual"]["irreps"]]
+    broken = [item["label"] for item in doc["dual"]["irreps"] if item["label"] != labels[0]]
+    assert len(broken) == 2
+    for block in doc["blocks"]:
+        if block["label"] in broken:
+            block["values"] = [[re + 1e-3 * rng.normal(), im] for re, im in block["values"]]
+    details = []
+    for blocks in (doc["blocks"], doc["blocks"][::-1]):
+        assert main(["zak", "inverse", write(tmp_path, "bad.json", {**doc, "blocks": blocks})]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "InvariantViolation"
+        details.append(json.loads(line)["detail"])
+    assert details[0] == details[1]
+    assert details[0].startswith(f"Z(0,{broken[0]})")
+
+
+def finite_zak_doc():
+    action = z2_fixed_point()
+    return zak_to_dict(zak(action, np.array([1.0, 2.0, 3.0]), irreps(action.group)))
+
+
+def zak_doc_with_block(**changes):
+    doc = finite_zak_doc()
+    doc["blocks"][0].update(changes)
+    return doc
+
+
+def zak_doc_without(part: str, key: str):
+    """The finite document with `key` dropped from its dual or from its first block."""
+    doc = finite_zak_doc()
+    target = doc["dual"] if part == "dual" else doc["blocks"][0]
+    del target[key]
+    return doc
+
+
+MALFORMED_ZAK_INVERSE = [
+    {"blocks": []},
+    zak_doc_without("dual", "table"),
+    zak_doc_without("dual", "irreps"),
+    zak_doc_without("block", "values"),
+    zak_doc_without("block", "x0"),
+    zak_doc_with_block(values=[[1.0, 0.0], [2.0, 0.0]]),
+    zak_doc_with_block(values=[]),
+    zak_doc_with_block(x0="a"),
+    zak_doc_with_block(x0=0.5),
+    zak_doc_with_block(dim="1"),
+    zak_doc_with_block(dim=0),
+    zak_doc_with_block(values=[[float("nan"), 0.0]]),
+    zak_doc_with_block(values=[[0.0, float("inf")]]),
+    zak_doc_with_block(label=["chi0"]),
+    {**finite_zak_doc(), "f_norm": float("nan")},
+    {**finite_zak_doc(), "dual": {**finite_zak_doc()["dual"], "table": [[0, 1], [1]]}},
+    {**finite_zak_doc(), "dual": {**finite_zak_doc()["dual"], "irreps": "all"}},
+]
+
+
+def test_malformed_zak_inverse_is_a_config_error(tmp_path, capsys):
+    # test_malformed_document_exit_2 runs these too; this pins the error type
+    for case, doc in enumerate(MALFORMED_ZAK_INVERSE):
+        assert main(["zak", "inverse", write(tmp_path, "doc.json", doc)]) == 2, case
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError", (case, line)
 
 
 def test_zak_forward_lattice_and_binary(tmp_path, capsys):
@@ -322,6 +413,10 @@ def lattice_doc(**changes):
         ("euclid generate", {"dim": 2, "generators": [{"Q": [[1.0, 0.0], [0.0, 1.0]], "c": 0.0}]}),
         ("euclid certify", {**c4_group_doc(), "truncation": {"radius": "far"}}),
         ("diffract verify", {**diffract_doc(), "group": {"dim": 3, "generators": [[1.0]]}}),
+        ("group inspect", {"table": [[0, 1]], "perm": [[0]]}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [[0, 1, 2], [1, 0]]}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "weights": "heavy"}),
+        *(("zak inverse", doc) for doc in MALFORMED_ZAK_INVERSE),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):

@@ -15,7 +15,7 @@ from zakspace.groups import (
     make_group,
     symmetric_group,
 )
-from zakspace.weil import mackey_bruhat_residual, weil_residual, weil_structure
+from zakspace.weil import mackey_bruhat_residual, weil_residual
 from zakspace.zak import verify_roundtrip, verify_unitarity, zak
 
 
@@ -66,13 +66,12 @@ def test_random_weights_full_pipeline():
     for trial in range(5):
         w = rng.uniform(0.2, 3.0, size=base.npoints)
         action = make_action(base.group, base.perm, weights=w)
-        s = weil_structure(action)
         for _ in range(10):
             f = random_complex(rng, action.npoints)
-            assert weil_residual(action, f, s) < 1e-12
-            assert mackey_bruhat_residual(action, f, s) < 1e-12
+            assert weil_residual(action, f) < 1e-12
+            assert mackey_bruhat_residual(action, f) < 1e-12
             assert verify_roundtrip(action, f, dual).passed
-            assert verify_unitarity(zak(action, f, dual, s), f).passed
+            assert verify_unitarity(zak(action, f, dual), f).passed
 
 
 def test_seed_stability_of_fallback():

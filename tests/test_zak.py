@@ -37,6 +37,7 @@ from zakspace.zak import (
     extended_zak,
     heisenberg_consistency_residual,
     intertwining_residual,
+    stack_blocks,
     verify_roundtrip,
     verify_unitarity,
     weak_inversion_residual,
@@ -143,7 +144,7 @@ def test_unitarity_fixed_point_budget():
     s = weil_structure(action)
     assert s.decomp.fd_measure[2] == pytest.approx(0.5)
     f = np.array([0.0, 0.0, 1.0], dtype=complex)
-    coeffs = zak(action, f, dual, s)
+    coeffs = zak(action, f, dual)
     # total image mass: (1/2) * (1/2) * |2|^2 = 1 = |f(c)|^2
     assert coeffs.image_norm_sq() == pytest.approx(1.0)
 
@@ -341,16 +342,46 @@ def test_check_invariants_fails_at_the_loops_block():
             data = {key: np.array(block) for key, block in coeffs.data.items()}
             for key in picks:
                 data[key] = data[key] + 1e-6 * random_complex(rng, data[key].size).reshape(data[key].shape)
-            if backwards:  # the first failure is counted in the order of the dict, as a file lists blocks
-                data = dict(reversed(list(data.items())))
-            with pytest.raises(InvariantViolation) as want:
+            with pytest.raises(InvariantViolation) as want:  # the loop walks the (representative, irrep) order
                 check_invariants_loop(data, projectors, members, coeffs.f_norm)
-            planted = ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+            if backwards:  # a file may list its blocks in any order; the first failure is still canonical
+                data = dict(reversed(list(data.items())))
+            planted = ZakCoefficients(action, dual, stack_blocks(action, dual, data), coeffs.f_norm)
             with pytest.raises(InvariantViolation) as got:
                 planted.check_invariants()
             assert str(got.value) == str(want.value), name
             failures.add("off the reciprocal space" in str(want.value))
     assert failures == {True, False}  # both laws are exercised
+
+
+def test_blocks_are_the_only_storage():
+    rng = np.random.default_rng(32)
+    for name, action in oracle_actions().items():
+        dual = _dual_for(action)
+        coeffs = zak(action, random_complex(rng, action.npoints), dual)
+        assert coeffs.structure is weil_structure(action), name
+        reps = coeffs.structure.decomp.representatives
+        assert list(coeffs.data) == [(x0, s.label) for x0 in reps for s in dual.irreps], name
+        assert list(coeffs.stab_members) == list(coeffs.data), name
+        for (_d, idx, _mats), z in zip(dual.dim_classes, coeffs.blocks):
+            assert not z.flags.writeable
+            for r, x0 in enumerate(reps):
+                for j, i in enumerate(idx):
+                    view = coeffs.data[(x0, dual.irreps[i].label)]
+                    assert not view.flags.writeable and np.shares_memory(view, z), name
+                    assert np.array_equal(view, z[r, j]), name
+        backwards = dict(reversed(list(coeffs.data.items())))  # as a file may list them
+        for got, want in zip(stack_blocks(action, dual, backwards), coeffs.blocks):
+            assert np.array_equal(got, want), name
+
+
+def test_zak_accepts_only_the_actions_own_structure():
+    action, other = z2_fixed_point(), z2_swap()
+    dual = _dual_for(action)
+    f = np.ones(3)
+    assert np.array_equal(zak(action, f, dual, weil_structure(action)).blocks[0], zak(action, f, dual).blocks[0])
+    with pytest.raises(ValueError):
+        zak(action, f, dual, weil_structure(other))
 
 
 def test_zak_data_must_cover_every_pair():
@@ -360,10 +391,12 @@ def test_zak_data_must_cover_every_pair():
     data = dict(coeffs.data)
     data.pop((2, "chi1"))
     with pytest.raises(SizeMismatch):
-        ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+        stack_blocks(action, dual, data)
     data[(2, "chi1")] = np.zeros((2, 2))
     with pytest.raises(SizeMismatch):
-        ZakCoefficients(action, dual, coeffs.structure, data, coeffs.f_norm)
+        stack_blocks(action, dual, data)
+    with pytest.raises(SizeMismatch):  # one (representatives, k, d, d) stack per dimension class
+        ZakCoefficients(action, dual, [coeffs.blocks[0][:1]], coeffs.f_norm)
 
 
 # ---------------------------------------------------------------------------

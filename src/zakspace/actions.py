@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySet, NonpositiveWeight, NotHomomorphism, SizeMismatch
-from .groups import FiniteGroup
-
-
-def _read_only_copy(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
+from .groups import FiniteGroup, _integer_array, _read_only_copy
 
 
 class GroupAction:
@@ -58,7 +52,7 @@ class GroupAction:
 
 def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
     """Validate permutations (exhaustive homomorphism check) and weights."""
-    perm = np.asarray(perm, dtype=int)
+    perm = _integer_array(perm, "perm")
     if perm.ndim != 2 or perm.shape[0] != group.order:
         raise SizeMismatch(f"perm must have one row per group element, got {perm.shape}")
     m = perm.shape[1]

@@ -90,7 +90,10 @@ def _resolve(path: str) -> Path:
 
 
 def _load_config(path: str, command: str) -> dict:
-    text = _resolve(path).read_text()
+    try:
+        text = _resolve(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -314,10 +317,10 @@ def _cmd_euclid_generate(args) -> int:
         "order": gen.order,
         "finite": gen.finite,
         "radius_truncated": gen.radius_truncated,
-        "translations": len(euclid.translation_subgroup(gen.elements, spec.truncation.tol)),
+        "translations": int(np.count_nonzero(euclid.translation_mask(gen.q, spec.truncation.tol))),
         "elements": [
-            {"Q": e.q.tolist(), "c": e.c.tolist(), "word_length": int(wl)}
-            for e, wl in zip(gen.elements, gen.word_lengths)
+            {"Q": q, "c": c, "word_length": int(wl)}
+            for q, c, wl in zip(gen.q.tolist(), gen.c.tolist(), gen.word_lengths)
         ],
     }
     _emit(out, args.out)

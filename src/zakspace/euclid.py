@@ -9,18 +9,24 @@ of the closure sit the pure-translation subgroup, a type-I certificate
 inconclusive when the truncation cannot witness it), and the conversion
 to a finite permutation action on seed-point orbits, folding infinite
 translation groups onto a torus when periods are supplied.
+
+A set of isometries is held as stacked arrays q (n, d, d) and c (n, d),
+row i being (q[i] | c[i]); closure, certificate and torus folding work on
+the stacks.  IsometryElement is one isometry at the boundary (generators,
+CLI documents, public element lists), validated once by its constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
 
 from .actions import GroupAction, make_action
 from .errors import DimensionMismatch, NotClosable, TruncationExceeded
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, _read_only_copy, make_group
 
 IDENT_TOL = 1e-9
 
@@ -67,6 +73,17 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
+def translation_mask(q: np.ndarray, tol: float = IDENT_TOL) -> np.ndarray:
+    """Per stacked Q (or for one Q): True where ||Q - I||_F < tol."""
+    d = q.shape[-1]
+    return _norms((q - np.eye(d)).reshape(*q.shape[:-2], d * d)) < tol
+
+
+def _as_elements(q: np.ndarray, c: np.ndarray) -> list:
+    """The stacked isometries as a list of IsometryElement."""
+    return [IsometryElement(qi, ci) for qi, ci in zip(q, c)]
+
+
 def _first(mask: np.ndarray) -> np.ndarray:
     """Index of the first True along the last axis, or -1 where there is none."""
     if mask.shape[-1] == 0:
@@ -106,7 +123,7 @@ def distance(a: IsometryElement, b: IsometryElement) -> float:
 
 
 def is_translation(a: IsometryElement, tol: float = IDENT_TOL) -> bool:
-    return float(np.linalg.norm(a.q - np.eye(a.dim))) < tol
+    return bool(translation_mask(a.q, tol))
 
 
 # convenient generators ------------------------------------------------------
@@ -182,14 +199,24 @@ class IsometryGroupSpec:
 
 @dataclass
 class GeneratedGroup:
-    elements: list
+    """The closure as read-only stacks q (n, d, d) and c (n, d), in generation order."""
+
+    q: np.ndarray
+    c: np.ndarray
     finite: bool
     word_lengths: list
     radius_truncated: bool
 
+    def __post_init__(self):
+        self.q, self.c = _read_only_copy(self.q, float), _read_only_copy(self.c, float)
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.q)
+
+    @cached_property
+    def elements(self) -> list:
+        return _as_elements(self.q, self.c)
 
 
 def _close_pairs(rows: np.ndarray, cands: np.ndarray, tol: float):
@@ -228,8 +255,9 @@ def _accept(rows: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _flat_elements(rows: np.ndarray, dim: int) -> list:
-    return [IsometryElement(r[: dim * dim].reshape(dim, dim), r[dim * dim :]) for r in rows]
+def _split(rows: np.ndarray, d: int):
+    """Flattened (Q|c) rows as stacks q (n, d, d) and c (n, d)."""
+    return np.ascontiguousarray(rows[:, : d * d]).reshape(-1, d, d), np.ascontiguousarray(rows[:, d * d :])
 
 
 def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
@@ -245,20 +273,21 @@ def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
     """
     tr = spec.truncation
     d = spec.dim
-    sym = np.array([h.flat() for g in spec.generators for h in (g, inverse(g))]).reshape(-1, d * d + d)
-    sym = sym[_accept(sym[:0], sym, tr.tol)]
-    gen_q = np.ascontiguousarray(sym[:, : d * d]).reshape(-1, d, d)
-    gen_c = np.ascontiguousarray(sym[:, d * d :])[:, :, None]
+    sym = np.array([  # each generator and its inverse, computed as `inverse` does
+        np.concatenate([q.ravel(), c]) for g in spec.generators for q, c in ((g.q, g.c), (g.q.T, -g.q.T @ g.c))
+    ]).reshape(-1, d * d + d)
+    gen_q, gen_c = _split(sym[_accept(sym[:0], sym, tr.tol)], d)
+    gen_c = gen_c[:, :, None]
 
-    rows = identity_isometry(d).flat()[None, :]
+    rows = np.concatenate([np.eye(d).ravel(), np.zeros(d)])[None, :]
     word_lengths = [0]
     radius_truncated = False
     frontier = rows
     finite = False
     for layer in range(1, tr.word_length + 1):
-        q = np.ascontiguousarray(frontier[:, None, : d * d]).reshape(-1, 1, d, d)
-        cand_q = (q @ gen_q[None]).reshape(-1, d, d)
-        cand_c = ((q @ gen_c[None])[..., 0] + frontier[:, None, d * d :]).reshape(-1, d)
+        q, c = _split(frontier, d)
+        cand_q = (q[:, None] @ gen_q[None]).reshape(-1, d, d)
+        cand_c = ((q[:, None] @ gen_c[None])[..., 0] + c[:, None]).reshape(-1, d)
         bad = _first_true(_isometry_defects(cand_q, cand_c))
         cut = _norms(cand_c[:bad]) > tr.radius
         radius_truncated = radius_truncated or bool(cut.any())
@@ -267,7 +296,7 @@ def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
         new = flats[_accept(rows, flats, tr.tol)]
         if len(new) and len(rows) + len(new) > tr.max_elements:
             keep = max(tr.max_elements + 1 - len(rows), 1)  # the cap is checked after each add
-            raise TruncationExceeded(_flat_elements(np.concatenate([rows, new[:keep]]), d))
+            raise TruncationExceeded(_as_elements(*_split(np.concatenate([rows, new[:keep]]), d)))
         if bad < len(cand_q):
             raise DimensionMismatch(NOT_ISOMETRY)
         if len(new) == 0:
@@ -276,7 +305,7 @@ def generate(spec: IsometryGroupSpec) -> GeneratedGroup:
         rows = np.concatenate([rows, new])
         word_lengths += [layer] * len(new)
         frontier = new
-    return GeneratedGroup(_flat_elements(rows, d), finite, word_lengths, radius_truncated)
+    return GeneratedGroup(*_split(rows, d), finite, word_lengths, radius_truncated)
 
 
 def translation_subgroup(elements, tol: float = IDENT_TOL) -> list:
@@ -305,60 +334,36 @@ class Certificate:
     notes: str
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "kind": self.kind,
-            "witness": self.witness,
-            "index": self.index,
-            "order": self.order,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _generators_commute(spec: IsometryGroupSpec) -> bool:
-    for a in spec.generators:
-        for b in spec.generators:
-            if distance(compose(a, b), compose(b, a)) > spec.truncation.tol:
-                return False
-    return True
+    gens, tol = spec.generators, spec.truncation.tol
+    return all(distance(compose(a, b), compose(b, a)) <= tol for a in gens for b in gens)
 
 
-def _common_axis(elements, tol: float = 1e-8) -> bool:
+def _common_axis(q: np.ndarray, tol: float = 1e-8) -> bool:
     """Heuristic: every non-identity rotation part fixes one shared axis."""
-    axis = None
-    for e in elements:
-        d = e.dim
-        if np.max(np.abs(e.q - np.eye(d))) < tol:
-            continue
-        if d == 2:
-            continue  # planar rotations share the out-of-plane axis
-        w, v = np.linalg.eig(e.q)
-        fixed = [v[:, i].real for i in range(3) if abs(w[i] - 1.0) < 1e-8]
-        if len(fixed) != 1:
-            return False
-        a = fixed[0] / np.linalg.norm(fixed[0])
-        if axis is None:
-            axis = a
-        elif min(np.linalg.norm(a - axis), np.linalg.norm(a + axis)) > 1e-6:
-            return False
-    return True
+    if q.shape[-1] == 2:
+        return True  # planar rotations share the out-of-plane axis
+    w, v = np.linalg.eig(q[~translation_mask(q, tol)])
+    fixed = np.abs(w - 1.0) < 1e-8
+    if not (fixed.sum(axis=1) == 1).all():
+        return False
+    axes = v.real.swapaxes(1, 2)[fixed]  # the fixed eigenvector of each rotation part
+    axes = axes / _norms(axes)[:, None]
+    return bool(len(axes) == 0 or (np.minimum(_norms(axes - axes[0]), _norms(axes + axes[0])) <= 1e-6).all())
 
 
-def _distinct_rotation_parts(elements, word_lengths, max_word):
-    """Count distinct Q parts layer by layer; returns per-layer cumulative counts."""
-    counts = []
-    seen = []
-    by_layer = sorted(zip(word_lengths, elements), key=lambda p: p[0])
-    layer_of = {}
-    for wl, e in by_layer:
-        if all(np.linalg.norm(e.q - q) > 1e-8 for q in seen):
-            seen.append(e.q.copy())
-        layer_of[wl] = len(seen)
-    cum = 0
-    for layer in range(max_word + 1):
-        cum = layer_of.get(layer, cum)
-        counts.append(cum)
-    return len(seen), counts
+def _distinct_rotation_parts(gen: GeneratedGroup):
+    """Number of distinct Q parts, each new when farther than 1e-8 from every
+    earlier new one, and the word length at which the last of them appeared."""
+    flat = gen.q.reshape(gen.order, -1)
+    first, rest = [], np.arange(gen.order)
+    while len(rest):
+        first.append(rest[0])
+        rest = rest[_norms(flat[rest] - flat[rest[0]]) > 1e-8]
+    return len(first), gen.word_lengths[first[-1]]
 
 
 STABLE_WINDOW = 3  # trailing word-length layers that must add no rotation part
@@ -376,8 +381,7 @@ def type_one_certificate(spec: IsometryGroupSpec) -> Certificate:
     """
     gen = generate(spec)
     if gen.finite:
-        commuting = _generators_commute(spec)
-        if commuting:
+        if _generators_commute(spec):
             return Certificate(
                 "type_I", "finite", "whole group", 1, gen.order,
                 "finite abelian group; the group is its own witness",
@@ -388,7 +392,7 @@ def type_one_certificate(spec: IsometryGroupSpec) -> Certificate:
         )
 
     if _generators_commute(spec):
-        kind = "helical" if _common_axis(gen.elements) else "abelian"
+        kind = "helical" if _common_axis(gen.q) else "abelian"
         note = (
             "generators commute, so the group is abelian and its own witness"
             + ("; all rotation parts share an axis (screw subgroup)" if kind == "helical" else "")
@@ -407,13 +411,9 @@ def type_one_certificate(spec: IsometryGroupSpec) -> Certificate:
                 )
         return Certificate("type_I", kind, "screw subgroup", 1, None, note)
 
-    trans = translation_subgroup(gen.elements, spec.truncation.tol)
-    if len(trans) > 1:
-        n_q, per_layer = _distinct_rotation_parts(
-            gen.elements, gen.word_lengths, spec.truncation.word_length
-        )
-        last = per_layer[-(STABLE_WINDOW + 1) :]
-        if len(last) == STABLE_WINDOW + 1 and len(set(last)) == 1:
+    if np.count_nonzero(translation_mask(gen.q, spec.truncation.tol)) > 1:
+        n_q, newest = _distinct_rotation_parts(gen)
+        if newest <= spec.truncation.word_length - STABLE_WINDOW:
             return Certificate(
                 "type_I", "space_group", "translation subgroup", n_q, None,
                 f"rotation-part count stable over the last {STABLE_WINDOW} layers; "
@@ -468,14 +468,12 @@ class _TorusReducer:
         return np.any(_norms(delta[..., None, :] - self.offsets) < tol, axis=-1)
 
 
-def _translation_basis(translations, dim: int, tol: float) -> np.ndarray | None:
-    """Shortest independent translation vectors, as columns."""
-    vecs = sorted(
-        (e.c for e in translations if np.linalg.norm(e.c) > tol),
-        key=lambda v: float(np.linalg.norm(v)),
-    )
+def _translation_basis(vecs: np.ndarray, dim: int, tol: float) -> np.ndarray | None:
+    """Shortest independent translation vectors among the rows of vecs, as columns."""
+    lengths = _norms(vecs)
+    keep = np.flatnonzero(lengths > tol)
     basis = []
-    for v in vecs:
+    for v in vecs[keep[np.argsort(lengths[keep], kind="stable")]]:
         trial = np.column_stack(basis + [v]) if basis else v[:, None]
         if np.linalg.matrix_rank(trial, tol=1e-8) == len(basis) + 1:
             basis.append(v)
@@ -525,11 +523,8 @@ class _QuotientElements:
                 self.c = np.concatenate([self.c, c[j][None]])
                 added = True
                 if len(self) > cap:
-                    raise TruncationExceeded(self.elements())
+                    raise TruncationExceeded(_as_elements(self.q, self.c))
         return added
-
-    def elements(self) -> list:
-        return [IsometryElement(q, c) for q, c in zip(self.q, self.c)]
 
 
 def _product_table(model: _QuotientElements, not_closed: str) -> np.ndarray:
@@ -560,14 +555,11 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
     """
     gen = generate(spec)
     reducer = _TorusReducer(None)
-    elements = gen.elements
-    q = np.array([e.q for e in elements])
-    c = np.array([e.c for e in elements])
+    q, c = gen.q, gen.c
     if not gen.finite:
         if periods is None:
             raise NotClosable("infinite group: supply periods to fold the translations")
-        trans = translation_subgroup(elements, spec.truncation.tol)
-        basis = _translation_basis(trans, spec.dim, tol)
+        basis = _translation_basis(c[translation_mask(q, spec.truncation.tol)], spec.dim, tol)
         if basis is None:
             raise NotClosable("no translations found to fold within the truncation")
         periods = list(periods)
@@ -600,7 +592,6 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
                 changed = canon.extend(prod_q, prod_c, cap, bad) or changed
                 if bad < len(prod_q):
                     raise DimensionMismatch(NOT_ISOMETRY)
-        elements = canon.elements()
         q, c = canon.q, canon.c
 
     # group table by composing and matching
@@ -624,7 +615,7 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
         if escaped < len(points):
             raise NotClosable(f"orbit point {points[escaped]} escapes under element {i}")
     action = make_action(group, perm)
-    return FiniteActionModel(group, action, points, elements)
+    return FiniteActionModel(group, action, points, _as_elements(q, c))
 
 
 def isometry_finite_group(elements, tol: float = 1e-9) -> FiniteGroup:

@@ -16,18 +16,36 @@ import numpy as np
 from .errors import NoIdentity, NoInverse, NotAssociative, NotSubgroup
 
 
+def _read_only_copy(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an int array; ValueError when an entry is not an integer
+    (np.asarray(..., dtype=int) would truncate 2.5 to 2)."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.round(a)).all():
+        a = a.astype(int)
+    if a.dtype.kind not in "biu":
+        raise ValueError(f"{what} entries must be integers")
+    return a.astype(int, copy=False)
+
+
 class FiniteGroup:
     """Validated finite group on indices 0..order-1.
 
     Use :func:`make_group` (or one of the named constructors) instead of
     calling this directly; construction assumes the table was checked.
+    table and inverses are read-only copies, as GroupAction's arrays are.
     """
 
     def __init__(self, table, identity, inverses, name=None):
-        self.table = np.asarray(table, dtype=int)
+        self.table = _read_only_copy(table, int)
         self.order = int(self.table.shape[0])
         self.identity = int(identity)
-        self.inverses = np.asarray(inverses, dtype=int)
+        self.inverses = _read_only_copy(inverses, int)
         self.name = name
         self._factors = None  # set by direct_product
 
@@ -76,7 +94,7 @@ def make_group(table, name=None) -> FiniteGroup:
 
     Raises NotAssociative / NoIdentity / NoInverse, each naming the witness.
     """
-    t = np.asarray(table, dtype=int)
+    t = _integer_array(table, "table")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"table must be square, got shape {t.shape}")
     n = t.shape[0]

@@ -10,6 +10,9 @@ on fields by (g E)(x) = Q E(Q^T (x - c)).  Projecting a plane wave onto
 the irreps of a finite isometry group and summing the transforms with
 Plancherel weights collapses, trace by trace, back to a plain Fourier
 coefficient of the density: the recovery identity this module verifies.
+
+Element lists are stacked once per call into q (n, 3, 3) and c (n, 3), as
+in euclid, so sample permutations and moved fields are batched over them.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import numpy as np
 from .duals import DualObject
 from .errors import (
     DensityNotInvariant,
+    DimensionMismatch,
     NotTransverse,
     SampleSetNotClosed,
     ShapeMismatch,
     SizeMismatch,
 )
-from .euclid import IsometryElement, act, inverse
+from .euclid import IsometryElement, IsometryGroupSpec, generate
 
 
 @dataclass
@@ -107,25 +111,28 @@ def plane_wave(k, n, points, weights=None) -> VectorField:
     return VectorField(points, weights, phases[:, None] * n[None, :])
 
 
-def _point_permutation(points: np.ndarray, g: IsometryElement, tol: float = 1e-9) -> np.ndarray:
-    """index array p with points[p[i]] = g^-1 points[i], or SampleSetNotClosed."""
-    images = act(inverse(g), points[:, None, :])[:, 0]  # one (1, 3) row per point, as act on one point
-    perm = np.empty(points.shape[0], dtype=int)
-    step = max(1, (1 << 20) // max(points.shape[0], 1))  # rows of the distance matrix per block
-    for lo in range(0, points.shape[0], step):
+def _point_permutation(points: np.ndarray, q: np.ndarray, c: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """perm (n, m) with points[perm[g, i]] = g^-1 points[i] for each stacked (Q, c),
+    or SampleSetNotClosed at the first escaping point of the first element that has one."""
+    m, dim = points.shape
+    if q.shape[1:] != (dim, dim):
+        raise DimensionMismatch(f"point of dimension {dim} under {q.shape[-1]}-d isometry")
+    images = ((points[None, :, :] - c[:, None, :]) @ q).reshape(-1, dim)
+    perm = np.empty(len(images), dtype=int)
+    step = max(1, (1 << 20) // max(m, 1))  # rows of the distance matrix per block
+    for lo in range(0, len(images), step):
         dist = np.linalg.norm(points[None, :, :] - images[lo : lo + step, None, :], axis=2)
         perm[lo : lo + step] = np.argmin(dist, axis=1)
         escaped = np.flatnonzero(dist[np.arange(len(dist)), perm[lo : lo + step]] > tol)
         if escaped.size:
-            raise SampleSetNotClosed(points[lo + escaped[0]])
-    return perm
+            raise SampleSetNotClosed(points[(lo + escaped[0]) % m])
+    return perm.reshape(len(q), m)
 
 
 def act_field(g: IsometryElement, field: VectorField) -> VectorField:
     """(g E)(x) = Q E(Q^T (x - c)): permute samples, rotate values."""
-    perm = _point_permutation(field.points, g)
-    new_values = field.values[perm] @ g.q.T
-    return VectorField(field.points, field.weights, new_values)
+    moved, _ = _moved_values(field, g.q[None], g.c[None])
+    return VectorField(field.points, field.weights, moved[0])
 
 
 def radiation_transform(field: VectorField, setup: ScatteringSetup) -> np.ndarray:
@@ -147,9 +154,10 @@ def density_fourier(points, weights, density, ell) -> np.ndarray | complex:
     return complex(np.sum(np.asarray(weights) * np.asarray(density) * phases))
 
 
-def _moved_values(field: VectorField, elements, perms) -> np.ndarray:
-    """(g E)(x) for every element: array (|G|, m, 3)."""
-    return np.stack([field.values[perm] @ g.q.T for g, perm in zip(elements, perms)])
+def _moved_values(field: VectorField, q: np.ndarray, c: np.ndarray):
+    """(g E)(x) for every stacked (Q, c), and the sample permutations: arrays (|G|, m, 3) and (|G|, m)."""
+    perms = _point_permutation(field.points, q, c)
+    return field.values[perms] @ np.swapaxes(q, 1, 2), perms
 
 
 def _project(moved: np.ndarray, irrep_matrices) -> np.ndarray:
@@ -159,8 +167,7 @@ def _project(moved: np.ndarray, irrep_matrices) -> np.ndarray:
 
 def symmetry_projection(field: VectorField, elements, irrep_matrices) -> np.ndarray:
     """P^sigma E (x) = sum_g (g E)(x) sigma(g)*: array (m, d, d, 3)."""
-    perms = [_point_permutation(field.points, g) for g in elements]
-    return _project(_moved_values(field, elements, perms), irrep_matrices)
+    return _project(_moved_values(field, *_stacked(elements))[0], irrep_matrices)
 
 
 @dataclass
@@ -180,21 +187,19 @@ def symmetry_projected_transform(group_spec, dual: DualObject, k, n, setup: Scat
     constant on group orbits.  The Plancherel-weighted trace sum is
     compared against the direct Fourier quadrature of the density.
     """
-    elements = _elements_of(group_spec)
-    if len(elements) != dual.group.order:
+    q, c = _stacked(group_spec)
+    if len(q) != dual.group.order:
         raise SizeMismatch("element list does not match the dual's group order")
     field = plane_wave(k, n, setup.points, setup.weights)
     density = setup.density
-    perms = [_point_permutation(field.points, g) for g in elements]
-    for perm in perms:
-        if np.max(np.abs(density[perm] - density)) > 1e-10 * max(1.0, float(np.max(np.abs(density)))):
-            raise DensityNotInvariant("density is not constant on group orbits")
+    moved, perms = _moved_values(field, q, c)
+    if np.max(np.abs(density[perms] - density)) > 1e-10 * max(1.0, float(np.max(np.abs(density)))):
+        raise DensityNotInvariant("density is not constant on group orbits")
 
     proj = setup.projector()
     phases = np.exp(-1j * setup.wavenumber * (field.points @ setup.s0))
     per_irrep = {}
     combined = np.zeros(3, dtype=complex)
-    moved = _moved_values(field, elements, perms)
     for s in dual.irreps:
         projected = _project(moved, s.matrices)
         transform = np.einsum(
@@ -211,14 +216,13 @@ def symmetry_projected_transform(group_spec, dual: DualObject, k, n, setup: Scat
     return RecoveryReport(per_irrep, combined, reference, residual)
 
 
-def _elements_of(group_spec) -> list:
+def _stacked(group_spec):
+    """(q, c) stacks of an element list, or of the finite group an IsometryGroupSpec generates."""
     if isinstance(group_spec, (list, tuple)):
-        return list(group_spec)
-    from .euclid import IsometryGroupSpec, generate
-
+        return np.array([g.q for g in group_spec]), np.array([g.c for g in group_spec])
     if isinstance(group_spec, IsometryGroupSpec):
         gen = generate(group_spec)
         if not gen.finite:
             raise SizeMismatch("symmetry projection needs a finite isometry group")
-        return gen.elements
+        return gen.q, gen.c
     raise SizeMismatch(f"expected an IsometryGroupSpec or element list, got {type(group_spec)}")

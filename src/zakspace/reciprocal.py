@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import DualObject, dual_abelian
+from .duals import DualObject
 from .errors import NotCosetFunction, SizeMismatch
 from .fourier import forward, fourier, inverse, subgroup_projectors
 from .groups import FiniteGroup, check_subgroup, left_cosets
@@ -76,9 +76,8 @@ def reciprocal_space(dual: DualObject, subgroup) -> ReciprocalSpace:
     return ReciprocalSpace(dual, sub, members, projectors, multiplicities)
 
 
-def poisson_abelian_check(f, group: FiniteGroup, subgroup, seed_dual: DualObject | None = None):
-    """Both sides and residual of abelian Poisson summation for H in G."""
-    dual = seed_dual or dual_abelian(group)
+def poisson_abelian_check(f, group: FiniteGroup, subgroup, dual: DualObject):
+    """Both sides and residual of abelian Poisson summation for H in G, over the dual's characters."""
     rec = reciprocal_space(dual, subgroup)
     f = np.asarray(f, dtype=complex)
     if f.shape != (group.order,):

@@ -104,8 +104,8 @@ def _built(make, what: str, *args, **kwargs):
 def group_from_dict(doc: dict) -> FiniteGroup:
     if "table" not in doc:
         raise ConfigError("group document needs a 'table'")
-    table = doc["table"]
-    if "order" in doc and len(table) != doc["order"]:
+    table = _typed(doc["table"], list, "group table")
+    if "order" in doc and len(table) != _integer(doc["order"], "declared order", 1):
         raise ConfigError(f"declared order {doc['order']} != table size {len(table)}")
     return _built(make_group, "group table", table, name=doc.get("name"))
 
@@ -114,9 +114,10 @@ def action_from_dict(doc: dict) -> GroupAction:
     group = group_from_dict(doc)
     if "perm" not in doc:
         raise ConfigError("action document needs 'perm'")
-    perm = doc["perm"]
-    if "points" in doc and perm and len(perm[0]) != doc["points"]:
-        raise ConfigError(f"declared points {doc['points']} != perm width {len(perm[0])}")
+    perm = _typed(doc["perm"], list, "perm")
+    points = _integer(doc["points"], "declared points", 1) if "points" in doc else None
+    if points is not None and perm and len(_typed(perm[0], list, "perm row")) != points:
+        raise ConfigError(f"declared points {points} != perm width {len(perm[0])}")
     return _built(make_action, "action", group, perm, doc.get("weights"))
 
 

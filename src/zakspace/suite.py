@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bloch, euclid, lattice, radiation, reciprocal, weil
-from .duals import irreps
+from .duals import dual_abelian, irreps
 from .fixtures import (
     BUNDLED_ACTIONS,
     c4_scatterer,
@@ -61,7 +61,7 @@ def check_classic_zak_roundtrip(name, grid) -> VerificationReport:
     return VerificationReport(name, lattice.roundtrip_residual(grid.samples, grid.cells), 1e-10)
 
 
-def check_poisson_abelian(name, group, sub, fs, dual=None) -> VerificationReport:
+def check_poisson_abelian(name, group, sub, fs, dual) -> VerificationReport:
     worst = max((reciprocal.poisson_abelian_check(f, group, sub, dual)[2] for f in fs), default=0.0)
     return VerificationReport(name, worst, 1e-12)
 
@@ -149,8 +149,9 @@ def _equivariance_check(name, make):
 
 def _poisson_abelian(n, sub):
     def run(rng):
+        group = cyclic_group(n)
         fs = [random_complex(rng, n) for _ in range(50)]
-        return check_poisson_abelian(f"poisson_abelian[Z{n}:{sub}]", cyclic_group(n), sub, fs)
+        return check_poisson_abelian(f"poisson_abelian[Z{n}:{sub}]", group, sub, fs, dual_abelian(group))
 
     return run
 

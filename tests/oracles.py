@@ -142,7 +142,8 @@ def generate_sequential(spec) -> GeneratedGroup:
             finite = not radius_truncated
             break
         frontier = new
-    return GeneratedGroup(elements, finite, word_lengths, radius_truncated)
+    q, c = np.array([e.q for e in elements]), np.array([e.c for e in elements])
+    return GeneratedGroup(q, c, finite, word_lengths, radius_truncated)
 
 
 class _TorusReducer:
@@ -189,7 +190,7 @@ def to_finite_action_scan(spec, seed_points, periods=None, tol: float = 1e-9):
         if periods is None:
             raise NotClosable("infinite group: supply periods to fold the translations")
         trans = translation_subgroup(elements, spec.truncation.tol)
-        basis = _translation_basis(trans, spec.dim, tol)
+        basis = _translation_basis(np.array([e.c for e in trans]), spec.dim, tol)
         if basis is None:
             raise NotClosable("no translations found to fold within the truncation")
         periods = list(periods)

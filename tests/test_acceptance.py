@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zakspace import bloch, euclid, lattice
-from zakspace.duals import irreps
+from zakspace.duals import dual_abelian, irreps
 from zakspace.fixtures import (
     BUNDLED_ACTIONS,
     c4_scatterer,
@@ -72,8 +72,9 @@ def test_criterion_2_poisson_summation():
     worst = 0.0
     for n, sub in ((4, [0, 2]), (6, [0, 3])):
         group = cyclic_group(n)
+        dual = dual_abelian(group)
         for _ in range(50):
-            _, _, resid = poisson_abelian_check(random_complex(rng, n), group, sub)
+            _, _, resid = poisson_abelian_check(random_complex(rng, n), group, sub, dual)
             worst = max(worst, resid)
 
     group = symmetric_group(3)

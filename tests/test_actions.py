@@ -121,11 +121,17 @@ def test_action_arrays_are_read_only_copies():
     assert action.perm[1, 0] == 1 and action.weights[0] == 1.0
 
 
-def test_translation_action_leaves_group_table_writeable():
+@pytest.mark.parametrize("perm", [[[0, 1], [1, 0.5]], [[0, 1.0], [1, 2.5]], [[0, 1], [1, "0"]]])
+def test_non_integer_perm_entry_rejected(perm):
+    with pytest.raises(ValueError):
+        make_action(cyclic_group(2), perm)
+
+
+def test_translation_action_copies_the_read_only_group_table():
     group = symmetric_group(3)
     action = translation_action(group)
-    assert group.table.flags.writeable
-    assert not action.perm.flags.writeable
+    assert not group.table.flags.writeable and not action.perm.flags.writeable
+    assert not np.shares_memory(group.table, action.perm)
 
 
 def test_orbits_match_scan_loop():

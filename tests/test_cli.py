@@ -171,6 +171,25 @@ def test_zak_forward_lattice_and_binary(tmp_path, capsys):
     assert doc["cells"] == [3] and doc["periods"] == [4]
 
 
+@pytest.mark.parametrize("key, value", [("order", "2"), ("points", "3"), ("order", 2.0)])
+def test_declared_count_must_be_an_integer(tmp_path, capsys, key, value):
+    doc = {**action_to_dict(z2_fixed_point()), key: value}
+    assert main(["group", "inspect", write(tmp_path, "g.json", doc)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "must be an integer" in json.loads(line)["detail"]
+
+
+def test_binary_input_is_a_config_error(tmp_path, capsys):
+    cfg = {"action": action_to_dict(z4_rotation()), "f": [1.0, 2.0, 3.0, 4.0]}
+    bin_path = str(tmp_path / "x.zak")
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", bin_path]) == 0
+    assert main(["zak", "inverse", bin_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+
+
 def test_zak_verify_passes(tmp_path, capsys):
     cfg = {"action": action_to_dict(z2_fixed_point()), "n_random": 3}
     assert main(["zak", "verify", write(tmp_path, "v.json", cfg)]) == 0
@@ -416,6 +435,14 @@ def lattice_doc(**changes):
         ("group inspect", {"table": [[0, 1]], "perm": [[0]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [[0, 1, 2], [1, 0]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "weights": "heavy"}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [[0, 1, 2.5], [1, 0, 2]]}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "table": [[0, 1.7], [1, 0]]}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "order": "2"}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "points": "3"}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "table": 5}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": 7}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [0, 1]}),
+        ("diffract verify", {**diffract_doc(), "group": {"dim": 2, "generators": [{"Q": [[0.0, -1.0], [1.0, 0.0]], "c": [0.0, 0.0]}]}}),
         *(("zak inverse", doc) for doc in MALFORMED_ZAK_INVERSE),
     ],
 )

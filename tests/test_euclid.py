@@ -416,3 +416,53 @@ def test_drifting_generator_rejected_like_oracle():
         generate(spec)
     with pytest.raises(DimensionMismatch):
         generate_sequential(spec)
+
+
+# ---------------------------------------------------------------------------
+# one layout: stacked (Q, c) arrays inside, IsometryElement lists built on demand
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts IsometryElement constructions from the moment it is requested."""
+    count = [0]
+    validate = IsometryElement.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(IsometryElement, "__post_init__", counted)
+    return count
+
+
+def test_generate_builds_no_elements(constructions):
+    spec = p4_spec()
+    constructions[0] = 0
+    assert generate(spec).order > 100
+    assert constructions[0] == 0
+
+
+def test_certificate_and_fold_build_no_element_per_generated_element(constructions):
+    spec = pm_spec()
+    constructions[0] = 0
+    assert type_one_certificate(spec).index == 2
+    assert constructions[0] <= 2 * len(spec.generators) ** 2  # the generator commutation check
+    assert generate(spec).order > 2 * len(spec.generators) ** 2
+
+    spec = p4_spec(word_length=8, radius=4.0)
+    constructions[0] = 0
+    model = to_finite_action(spec, [[0.21, 0.33]], periods=[2, 2])
+    assert constructions[0] == len(model.elements) == model.group.order == 16
+
+
+def test_generated_group_stacks_are_read_only_and_match_elements():
+    gen = generate(p4_spec(word_length=6, radius=4.0))
+    with pytest.raises(ValueError):
+        gen.q[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        gen.c[0, 0] = 2.0
+    assert gen.order == len(gen.q) == len(gen.c) == len(gen.elements) == len(gen.word_lengths)
+    assert np.array([e.q for e in gen.elements]).tobytes() == gen.q.tobytes()
+    assert np.array([e.c for e in gen.elements]).tobytes() == gen.c.tobytes()
+    assert gen.elements is gen.elements  # built once, on first read

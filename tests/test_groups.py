@@ -93,3 +93,24 @@ def test_orbit_stabilizer_product():
     for x in range(action.npoints):
         orbit_size = len(dec.members[dec.orbit_id[x]])
         assert orbit_size * len(stabilizer(action, x)) == action.group.order
+
+
+def test_group_arrays_are_read_only_copies():
+    table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    g = make_group(table)
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.inverses[1] = 1
+    table[:] = 0  # the caller's array stays the caller's
+    assert g.mul(1, 1) == 2 and g.inv(1) == 2
+
+
+@pytest.mark.parametrize("table", [[[0, 1], [1, 0.5]], [[0, 1], [1, 1.7]], [[0, 1], [1, "0"]], [[0, 1], [1, np.nan]]])
+def test_non_integer_table_entry_rejected(table):
+    with pytest.raises(ValueError):
+        make_group(table)
+
+
+def test_integral_float_table_accepted():
+    assert make_group([[0.0, 1.0], [1.0, 0.0]]).table.dtype == int

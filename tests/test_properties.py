@@ -83,8 +83,9 @@ seed_points = st.lists(
 @given(order=st.integers(2, 8), dihedral=st.booleans(), seeds=seed_points)
 def test_point_permutation_matches_loop(order, dihedral, seeds):
     elements, points = orbit(order, dihedral, seeds)
-    for g in elements:
-        assert np.array_equal(_point_permutation(points, g), point_permutation_loop(points, g))
+    perms = _point_permutation(points, np.array([g.q for g in elements]), np.array([g.c for g in elements]))
+    for g, perm in zip(elements, perms, strict=True):
+        assert np.array_equal(perm, point_permutation_loop(points, g))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -100,7 +101,7 @@ def test_perturbed_point_set_not_closed_on_both_paths(order, dihedral, seeds, wh
     points[which % len(points)] += np.array(shift)
     for g in elements[1:]:
         with pytest.raises(SampleSetNotClosed) as got:
-            _point_permutation(points, g)
+            _point_permutation(points, g.q[None], g.c[None])
         with pytest.raises(SampleSetNotClosed) as expected:
             point_permutation_loop(points, g)
         assert np.array_equal(got.value.point, expected.value.point)

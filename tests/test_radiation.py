@@ -311,8 +311,9 @@ def test_point_permutation_matches_loop_oracle():
 
     elements, pts = d6_orbit_points(np.random.default_rng(21))
     for els, points in ((elements, pts), (c4_elements(), two_ring_points())):
-        for g in els:
-            assert np.array_equal(_point_permutation(points, g), point_permutation_loop(points, g))
+        perms = _point_permutation(points, np.array([g.q for g in els]), np.array([g.c for g in els]))
+        for g, perm in zip(els, perms, strict=True):
+            assert np.array_equal(perm, point_permutation_loop(points, g))
 
 
 def test_point_permutation_open_set_raises_like_oracle():
@@ -322,7 +323,7 @@ def test_point_permutation_open_set_raises_like_oracle():
     pts[7] += [0.0, 1e-6, 0.0]
     for g in elements[1:]:
         with pytest.raises(SampleSetNotClosed) as got:
-            _point_permutation(pts, g)
+            _point_permutation(pts, g.q[None], g.c[None])
         with pytest.raises(SampleSetNotClosed) as expected:
             point_permutation_loop(pts, g)
         assert np.array_equal(got.value.point, expected.value.point)
@@ -339,3 +340,35 @@ def test_symmetry_projection_matches_loop_oracle():
     for s in dual.irreps:
         got = symmetry_projection(field, elements, s.matrices)
         assert np.max(np.abs(got - symmetry_projection_loop(field, elements, s.matrices))) < 1e-12
+
+
+def test_stacked_open_set_raises_at_the_first_open_element_like_oracle():
+    from oracles import point_permutation_loop
+
+    elements, pts = d6_orbit_points(np.random.default_rng(24))
+    pts[7] += [0.0, 1e-6, 0.0]
+    q, c = np.array([g.q for g in elements]), np.array([g.c for g in elements])
+    with pytest.raises(SampleSetNotClosed) as got:
+        _point_permutation(pts, q, c)
+    with pytest.raises(SampleSetNotClosed) as expected:
+        for g in elements:
+            point_permutation_loop(pts, g)
+    assert np.array_equal(got.value.point, expected.value.point)
+
+
+def test_projected_transform_makes_one_batched_permutation_call(monkeypatch):
+    from zakspace import radiation
+
+    calls = []
+    permutation = radiation._point_permutation
+
+    def counted(points, q, c):
+        calls.append(len(q))
+        return permutation(points, q, c)
+
+    monkeypatch.setattr(radiation, "_point_permutation", counted)
+    elements = c4_elements()
+    setup = ScatteringSetup(two_ring_points(), np.ones(8), ring_density(), omega=2.2, c_light=1.0, s0=[0.0, 0.0, 1.0])
+    k, n = transverse_pair(np.random.default_rng(25))
+    assert symmetry_projected_transform(elements, irreps(isometry_finite_group(elements)), k, n, setup).residual < 1e-9
+    assert calls == [4]

@@ -8,7 +8,7 @@ from oracles import (
     reciprocal_space_loop,
 )
 from planted import assert_same_outcome, broken_dual, outcome
-from zakspace.duals import irreps
+from zakspace.duals import dual_abelian, irreps
 from zakspace.errors import NotCosetFunction, NotSubgroup
 from zakspace.fixtures import random_complex, s3_transposition_subgroup
 from zakspace.groups import cyclic_group, dihedral_group, generated_subgroup, left_cosets, symmetric_group
@@ -79,7 +79,7 @@ def test_poisson_abelian_z4():
     group = cyclic_group(4)
     f = np.zeros(4, dtype=complex)
     f[0] = 1.0
-    lhs, rhs, resid = poisson_abelian_check(f, group, [0, 2])
+    lhs, rhs, resid = poisson_abelian_check(f, group, [0, 2], dual_abelian(group))
     assert lhs == pytest.approx(0.5)
     assert rhs == pytest.approx(0.5)
     assert resid < 1e-12
@@ -87,17 +87,18 @@ def test_poisson_abelian_z4():
 
 def test_poisson_abelian_constant():
     group = cyclic_group(4)
-    lhs, rhs, resid = poisson_abelian_check(np.ones(4), group, [0, 2])
+    lhs, rhs, resid = poisson_abelian_check(np.ones(4), group, [0, 2], dual_abelian(group))
     assert lhs == pytest.approx(1.0)
     assert resid < 1e-12
 
 
 def test_poisson_abelian_random_z6():
     group = cyclic_group(6)
+    dual = dual_abelian(group)
     rng = np.random.default_rng(1)
     for _ in range(50):
         f = random_complex(rng, 6)
-        _, _, resid = poisson_abelian_check(f, group, [0, 3])
+        _, _, resid = poisson_abelian_check(f, group, [0, 3], dual)
         assert resid < 1e-12
 
 
@@ -143,7 +144,7 @@ def test_poisson_compact_random():
 def test_not_subgroup_raises():
     group = cyclic_group(4)
     with pytest.raises(NotSubgroup):
-        poisson_abelian_check(np.ones(4), group, [0, 1])
+        poisson_abelian_check(np.ones(4), group, [0, 1], dual_abelian(group))
 
 
 def test_quotient_fourier_constant():

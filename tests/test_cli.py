@@ -435,6 +435,7 @@ def lattice_doc(**changes):
         ("group inspect", {"table": [[0, 1]], "perm": [[0]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [[0, 1, 2], [1, 0]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "weights": "heavy"}),
+        *(("zak inverse", doc) for doc in MALFORMED_ZAK_INVERSE),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [[0, 1, 2.5], [1, 0, 2]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "table": [[0, 1.7], [1, 0]]}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "order": "2"}),
@@ -443,7 +444,6 @@ def lattice_doc(**changes):
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": 7}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [0, 1]}),
         ("diffract verify", {**diffract_doc(), "group": {"dim": 2, "generators": [{"Q": [[0.0, -1.0], [1.0, 0.0]], "c": [0.0, 0.0]}]}}),
-        *(("zak inverse", doc) for doc in MALFORMED_ZAK_INVERSE),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):

@@ -267,16 +267,22 @@ def _band_model(doc) -> bloch.BandStructure:
     return bloch.band_structure(float(doc["t"]), int(doc["M"]), int(doc["N"]), doc["V"])
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def _cmd_bands_run(args) -> int:
     doc = _load_config(args.config, "bands run")
     bs = _band_model(doc)
+    n, m = bs.periods, bs.cell_size
+    rows = np.column_stack([
+        np.repeat(np.arange(n), m), np.repeat(bs.k_values, m), np.tile(np.arange(m), n), bs.bands.ravel(),
+    ])
     lines = ["k_index,k_value,band_index,energy"]
-    for j in range(bs.periods):
-        for band in range(bs.cell_size):
-            lines.append(
-                f"{j},{bs.k_values[j]:.12g},{band},{bs.bands[j, band]:.12g}"
-            )
-    _emit("\n".join(lines), args.out)
+    for part in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
+        # one % format per block of rows: the argument tuple stays small
+        lines.append("\n".join(["%d,%.12g,%d,%.12g"] * len(part)) % tuple(part.ravel().tolist()))
+    # the trailing "" ends the text in a newline, so _emit writes it without another copy
+    _emit("\n".join(lines + [""]), args.out)
     return 0
 
 

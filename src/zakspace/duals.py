@@ -9,7 +9,10 @@ Three routes produce a complete dual:
   the group, followed by numeric splitting of each induced representation;
 * splitting of the regular representation with a random element of its
   commutant (seeded, then polished to an exactly invariant subspace by
-  averaging the subspace projector over the group).
+  averaging the subspace projector over the group).  A group average of an
+  |G| x |G| matrix commutes with the regular representation, so it is a
+  convolution over the multiplication table: one gather of O(|G|^2) entries
+  per average, not |G| shuffled copies of the matrix.
 
 Whatever the route, the result is validated against the same invariants:
 unitarity, the homomorphism property, irreducibility via the character
@@ -103,6 +106,13 @@ class DualObject:
         return np.stack([s.character() for s in self.irreps], axis=1)
 
 
+def _pair_products(mats: np.ndarray) -> np.ndarray:
+    """(g, h, i, k) array of sigma(g) sigma(h) for every pair, as one matrix product."""
+    n, d = mats.shape[0], mats.shape[1]
+    prods = mats.reshape(n * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)
+    return prods.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
 def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
     n, d = group.order, irrep.dim
     mats = irrep.matrices
@@ -110,10 +120,9 @@ def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
         raise NotIrreducible(f"{irrep.label}: matrix block has shape {mats.shape}")
     if np.max(np.abs(mats[group.identity] - np.eye(d))) > HOM_ATOL:
         raise NotIrreducible(f"{irrep.label}: identity does not map to I")
-    prods = np.einsum("gij,hjk->ghik", mats, mats)
-    if np.max(np.abs(mats[group.table] - prods)) > HOM_ATOL:
+    if np.max(np.abs(mats[group.table] - _pair_products(mats))) > HOM_ATOL:
         raise NotIrreducible(f"{irrep.label}: not a homomorphism")
-    gram = np.einsum("gij,gkj->gik", mats, mats.conj())
+    gram = mats @ mats.conj().transpose(0, 2, 1)
     if np.max(np.abs(gram - np.eye(d))) > UNITARY_ATOL:
         raise NotIrreducible(f"{irrep.label}: matrices not unitary")
     chi = irrep.character()
@@ -129,14 +138,12 @@ def validate_dual(dual: DualObject) -> None:
     total = sum(s.dim**2 for s in dual.irreps)
     if total != group.order:
         raise IncompleteDual(total, group.order)
-    chars = [s.character() for s in dual.irreps]
-    for i in range(len(chars)):
-        for j in range(i + 1, len(chars)):
-            ip = np.vdot(chars[j], chars[i]) / group.order
-            if abs(ip) > CHAR_ATOL:
-                raise NotIrreducible(
-                    f"{dual.irreps[i].label} and {dual.irreps[j].label} are equivalent"
-                )
+    chars = dual.character_table
+    overlap = np.abs(chars.conj().T @ chars / group.order)
+    bad = np.argwhere(np.triu(overlap > CHAR_ATOL, 1))  # row-major: the first pair (i, j), i < j
+    if len(bad):
+        i, j = bad[0]
+        raise NotIrreducible(f"{dual.irreps[i].label} and {dual.irreps[j].label} are equivalent")
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +201,11 @@ def dual_abelian(group: FiniteGroup, seed: int = 0) -> DualObject:
 
 def _abelian_characters_numeric(group: FiniteGroup, seed: int) -> np.ndarray:
     n = group.order
-    perms = _regular_perms(group)
     orders = np.array([group.element_order(g) for g in group.elements()])
     rng = np.random.default_rng(seed)
     for _ in range(16):
         coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
-        t = np.zeros((n, n), dtype=complex)
-        for g in group.elements():
-            t[np.arange(n), perms[g]] += coeff[g]
+        t = coeff[group.table[:, group.inverses]]  # sum_g coeff[g] R(g): entry (x, y) is coeff[x y^-1]
         t = t + t.conj().T
         _, vecs = np.linalg.eigh(t)
         rows = []
@@ -227,11 +231,7 @@ def _abelian_characters_numeric(group: FiniteGroup, seed: int) -> np.ndarray:
         rows = sorted(rows, key=lambda r: tuple(np.round(np.angle(r) % (2 * np.pi), 9)))
         values = np.array(rows)
         # homomorphism check; distinct rows guaranteed by validate_dual later
-        if all(
-            np.max(np.abs(values[:, group.table[g, h]] - values[:, g] * values[:, h])) < 1e-9
-            for g in group.elements()
-            for h in group.elements()
-        ):
+        if np.max(np.abs(values[:, group.table] - values[:, :, None] * values[:, None, :])) < 1e-9:
             return values
     raise NotIrreducible("could not separate the characters numerically")
 
@@ -322,7 +322,12 @@ def _product_dual(group: FiniteGroup, seed: int) -> DualObject:
 
 def _restrict(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """V* rho(g) V for every g; basis columns orthonormal."""
-    return np.einsum("ij,gjk,kl->gil", basis.conj().T, mats, basis)
+    return basis.conj().T @ mats @ basis
+
+
+def _group_average(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g rho(g) M rho(g)* for a unitary rep given as a (|G|, dim, dim) stack."""
+    return (mats @ m @ mats.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
 def _split_invariant_subspaces(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
@@ -342,7 +347,7 @@ def _split_invariant_subspaces(mats: np.ndarray, rng, depth: int = 0) -> list[np
     for _ in range(8):
         b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         b = b + b.conj().T
-        t = np.einsum("gij,jk,glk->il", mats, b, mats.conj()) / n
+        t = _group_average(mats, b)
         vals, vecs = np.linalg.eigh(t)
         scale = max(1.0, float(np.max(np.abs(vals))))
         clusters, start = [], 0
@@ -355,9 +360,7 @@ def _split_invariant_subspaces(mats: np.ndarray, rng, depth: int = 0) -> list[np
         bases = []
         ok = True
         for v in clusters:
-            p = v @ v.conj().T
-            p_avg = np.einsum("gij,jk,glk->il", mats, p, mats.conj()) / n
-            w, u = np.linalg.eigh(p_avg)
+            w, u = np.linalg.eigh(_group_average(mats, v @ v.conj().T))
             d = v.shape[1]
             v_pol = u[:, -d:]
             if w[-d] < 0.99 or (dim > d and w[-d - 1] > 0.01):
@@ -365,7 +368,7 @@ def _split_invariant_subspaces(mats: np.ndarray, rng, depth: int = 0) -> list[np
                 break
             sub = _restrict(mats, v_pol)
             # invariance residual of the polished subspace
-            resid = np.max(np.abs(np.einsum("gij,jk->gik", mats, v_pol) - np.einsum("ij,gjk->gik", v_pol, sub)))
+            resid = np.max(np.abs(mats @ v_pol - v_pol @ sub))
             if resid > 1e-8:
                 ok = False
                 break
@@ -398,11 +401,23 @@ def _sorted_irreps(group: FiniteGroup, mats_list: list[np.ndarray]) -> list[Unit
     return out
 
 
+def _regular_average(group: FiniteGroup, m: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g R(g) M R(g)* as one gather along the table, O(|G|^2).
+
+    The average commutes with every R(g), so its entry (x, y) depends only
+    on h = x^-1 y, where it is c[h] = mean_z M[z, z h].
+    """
+    c = m[np.arange(group.order)[:, None], group.table].mean(axis=0)
+    return c[_regular_perms(group)]
+
+
 def _regular_splitting_dual(group: FiniteGroup, seed: int) -> DualObject:
     """Split the regular representation; each irrep occurs (d times) in it.
 
-    R(g) permutes the delta basis via x -> g x, so R(g) M R(g)* and
-    V* R(g) V reduce to index shuffles with perms[g][x] = g^-1 x.
+    R(g) permutes the delta basis via x -> g x, so V* R(g) V reduces to an
+    index shuffle with perms[g][x] = g^-1 x, and the group average of a
+    matrix is a convolution over the table (``_regular_average``): O(|G|^2)
+    per average, for the commutant element and for each cluster projector.
     """
     n = group.order
     perms = _regular_perms(group)
@@ -410,11 +425,7 @@ def _regular_splitting_dual(group: FiniteGroup, seed: int) -> DualObject:
     for _ in range(8):
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         b = b + b.conj().T
-        t = np.zeros((n, n), dtype=complex)
-        for g in group.elements():
-            t += b[np.ix_(perms[g], perms[g])]
-        t /= n
-        vals, vecs = np.linalg.eigh(t)
+        vals, vecs = np.linalg.eigh(_regular_average(group, b))
         scale = max(1.0, float(np.max(np.abs(vals))))
         clusters, start = [], 0
         for i in range(1, n + 1):
@@ -424,21 +435,16 @@ def _regular_splitting_dual(group: FiniteGroup, seed: int) -> DualObject:
         try:
             candidates = []
             for v in clusters:
-                p = v @ v.conj().T
-                p_avg = np.zeros_like(p)
-                for g in group.elements():
-                    p_avg += p[np.ix_(perms[g], perms[g])]
-                p_avg /= n
-                w, u = np.linalg.eigh(p_avg)
+                w, u = np.linalg.eigh(_regular_average(group, v @ v.conj().T))
                 d = v.shape[1]
                 if w[-d] < 0.99 or (n > d and w[-d - 1] > 0.01):
                     raise NotIrreducible("eigenvalue cluster is not an invariant subspace")
                 v_pol = u[:, -d:]
                 # sigma(g) = V* R(g) V with (R(g) V)[i] = V[g^-1 i]
-                sub = np.einsum("ij,gik->gjk", v_pol.conj(), v_pol[perms])
+                sub = v_pol.conj().T @ v_pol[perms]
                 for basis in _split_invariant_subspaces(sub, rng):
                     w_basis = v_pol @ basis
-                    candidates.append(np.einsum("ij,gik->gjk", w_basis.conj(), w_basis[perms]))
+                    candidates.append(w_basis.conj().T @ w_basis[perms])
             kept = _dedupe_by_character(group, candidates)
             dual = DualObject(group, _sorted_irreps(group, kept))
             validate_dual(dual)
@@ -486,7 +492,7 @@ def irreps_by_induction(group: FiniteGroup, normal_abelian, seed: int = 0) -> Du
         chi = char.matrices[:, 0, 0]
         mats = induced_from_character(group, sub_elems, chi, to_sub)
         for basis in _split_invariant_subspaces(mats, rng):
-            candidates.append(np.einsum("ij,gjk,kl->gil", basis.conj().T, mats, basis))
+            candidates.append(_restrict(mats, basis))
     kept = _dedupe_by_character(group, candidates)
     dual = DualObject(group, _sorted_irreps(group, kept))
     validate_dual(dual)

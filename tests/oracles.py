@@ -7,10 +7,12 @@ closure that matches every candidate against every element found so far,
 the scan lookups of the torus folding, the pair-by-pair homomorphism and
 cocycle checks, the orbit scan, the per-block finite Zak transforms, the
 per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
-bloch), the unfolding loop of the lattice inverse and the dense-matrix
-invariance check.  The tests require the library to reproduce them
-exactly (bands, Zak blocks and inverses to 1e-12; orbits and the Weil
-structure bitwise) and to raise the same exception at the same first item.
+bloch), the unfolding loop of the lattice inverse, the dense-matrix
+invariance check, the group average over shuffled copies of a matrix and
+the pairwise homomorphism and character checks of a dual.  The tests
+require the library to reproduce them exactly (bands, Zak blocks and
+inverses to 1e-12; orbits and the Weil structure bitwise) and to raise the
+same exception at the same first item.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from itertools import product as iproduct
 import numpy as np
 
 from zakspace.actions import OrbitDecomposition
+from zakspace.duals import CHAR_ATOL, HOM_ATOL, UNITARY_ATOL
 from zakspace.errors import (
     EquivarianceViolation,
+    IncompleteDual,
     InvariantViolation,
     NotClosable,
     NotCosetFunction,
     NotHomomorphism,
     NotInvariant,
+    NotIrreducible,
     SampleSetNotClosed,
     ShapeMismatch,
     SizeMismatch,
@@ -500,6 +505,53 @@ def intertwining_loop(action, f, dual) -> float:
                 delta = shifted[(x0, irr.label)] - irr.matrices[g] @ base[(x0, irr.label)]
                 worst = max(worst, float(np.max(np.abs(delta))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# duals
+
+
+def regular_average_loop(group, m: np.ndarray) -> np.ndarray:
+    """(1/|G|) sum_g R(g) M R(g)*, one shuffled copy of M per element (perms[g][x] = g^-1 x)."""
+    perms = group.table[group.inverses]
+    out = np.zeros(m.shape, dtype=complex)
+    for g in group.elements():
+        out += m[np.ix_(perms[g], perms[g])]
+    return out / group.order
+
+
+def pair_products_einsum(mats: np.ndarray) -> np.ndarray:
+    """(g, h, i, k) array of sigma(g) sigma(h), as one pairwise einsum."""
+    return np.einsum("gij,hjk->ghik", mats, mats)
+
+
+def validate_dual_loop(dual) -> None:
+    """Each irrep with the einsum homomorphism check, then the characters pair by pair."""
+    group = dual.group
+    n = group.order
+    for s in dual.irreps:
+        d, mats = s.dim, s.matrices
+        if mats.shape != (n, d, d):
+            raise NotIrreducible(f"{s.label}: matrix block has shape {mats.shape}")
+        if np.max(np.abs(mats[group.identity] - np.eye(d))) > HOM_ATOL:
+            raise NotIrreducible(f"{s.label}: identity does not map to I")
+        if np.max(np.abs(mats[group.table] - pair_products_einsum(mats))) > HOM_ATOL:
+            raise NotIrreducible(f"{s.label}: not a homomorphism")
+        gram = np.einsum("gij,gkj->gik", mats, mats.conj())
+        if np.max(np.abs(gram - np.eye(d))) > UNITARY_ATOL:
+            raise NotIrreducible(f"{s.label}: matrices not unitary")
+        chi = s.character()
+        norm = np.vdot(chi, chi).real / n
+        if abs(norm - 1.0) > CHAR_ATOL:
+            raise NotIrreducible(f"{s.label}: character norm {norm} != 1")
+    total = sum(s.dim**2 for s in dual.irreps)
+    if total != n:
+        raise IncompleteDual(total, n)
+    chars = [s.character() for s in dual.irreps]
+    for i in range(len(chars)):
+        for j in range(i + 1, len(chars)):
+            if abs(np.vdot(chars[j], chars[i]) / n) > CHAR_ATOL:
+                raise NotIrreducible(f"{dual.irreps[i].label} and {dual.irreps[j].label} are equivalent")
 
 
 # ---------------------------------------------------------------------------

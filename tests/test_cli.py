@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -252,6 +253,18 @@ def test_bands_run_csv_shape(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "k_index,k_value,band_index,energy"
     assert len(lines) == 1 + model["N"] * model["M"]
+
+
+# sha256 of stdout as the row-by-row f-string formatter wrote it; the last model spans two format blocks
+@pytest.mark.parametrize("model, sha", [
+    ({"t": 0.9, "M": 3, "N": 50, "V": [0.3, -1.2, 0.0]}, "a09184bc613046f675d7fdc1dd5862e2101332e2bd3459041447e4637b212bd2"),
+    ({"t": -1.5, "M": 1, "N": 7, "V": [-0.0]}, "8716fa669161d84e1a116d6c26af4bf7647d9711bfe95530f83190d4d177a8a0"),
+    ({"t": 1e-300, "M": 2, "N": 1, "V": [1e22, -3.5e-7]}, "868959c92823743ddebfe5b14658f5cbc4fabbe59976af0c0e6387e57b449d7c"),
+    ({"t": 0.37, "M": 3, "N": 2000, "V": [1.0, -0.25, 2.5]}, "7d7e767e76f7c21733474d8c008a8180c77cb10ab54524bd040958afd0f81631"),
+])
+def test_bands_run_csv_bytes_are_pinned(tmp_path, capsys, model, sha):
+    assert main(["bands", "run", write(tmp_path, "m.json", model)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
 def test_bands_check(tmp_path, capsys):

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import pair_products_einsum, validate_dual_loop
+from planted import assert_same_outcome, outcome
 from zakspace.duals import (
+    DualObject,
+    UnitaryIrrep,
+    _pair_products,
     dual_abelian,
     irreps,
     irreps_by_induction,
     validate_dual,
 )
-from zakspace.errors import NotAbelian, NotIrreducible
+from zakspace.errors import IncompleteDual, NotAbelian, NotIrreducible
+from zakspace.fixtures import random_complex
 from zakspace.groups import (
     cyclic_group,
     dihedral_group,
@@ -158,3 +164,96 @@ def test_d6_regular_splitting():
     dual = _regular_splitting_dual(g, seed=4)
     assert sorted(s.dim for s in dual.irreps) == [1, 1, 1, 1, 2, 2]
     validate_dual(dual)
+
+
+# ---------------------------------------------------------------------------
+# planted defects: validate_dual rejects each one as the pairwise loops do
+
+
+@pytest.fixture(scope="module")
+def split_duals():
+    """S4 (dimensions 1, 1, 2, 3, 3) and S5 (1, 1, 4, 4, 5, 5, 6) from the regular-representation split."""
+    return {4: irreps(symmetric_group(4)), 5: irreps(symmetric_group(5))}
+
+
+# (symmetric group, irrep dimension): every dimension of S5 and the 2 of S4
+PLANTED_DIMS = [(5, 1), (4, 2), (5, 4), (5, 5), (5, 6)]
+
+
+def _with(dual, i, mats):
+    """The dual with irrep i's matrices replaced."""
+    out = list(dual.irreps)
+    out[i] = UnitaryIrrep(out[i].label, mats.shape[1], mats)
+    return DualObject(dual.group, out)
+
+
+def _first_of_dim(dual, d) -> int:
+    return next(i for i, s in enumerate(dual.irreps) if s.dim == d)
+
+
+def _rejects_like_loop(dual, error, text):
+    got = outcome(validate_dual, dual)
+    assert got[0] == "raised" and got[1] is error and text in got[2], got
+    assert_same_outcome(got, outcome(validate_dual_loop, dual), close=None)
+
+
+def test_pair_products_match_einsum_on_s5(split_duals):
+    for s in split_duals[5].irreps:
+        assert np.max(np.abs(_pair_products(s.matrices) - pair_products_einsum(s.matrices))) <= 1e-14
+
+
+@pytest.mark.parametrize("order, d", PLANTED_DIMS)
+def test_split_duals_pass_and_planted_element_defects_are_rejected(split_duals, order, d):
+    dual = split_duals[order]
+    validate_dual(dual)
+    validate_dual_loop(dual)
+    group, i = dual.group, _first_of_dim(dual, d)
+    label, mats = dual.irreps[i].label, dual.irreps[i].matrices
+    rng = np.random.default_rng(10 * order + d)
+    noise = random_complex(rng, d * d).reshape(d, d)
+    noise *= 1e-9 / np.max(np.abs(noise))  # ten times HOM_ATOL in its largest entry
+
+    at_identity = mats.copy()
+    at_identity[group.identity] += noise
+    _rejects_like_loop(_with(dual, i, at_identity), NotIrreducible, f"{label}: identity does not map to I")
+
+    g = int(rng.choice([x for x in group.elements() if x != group.identity]))
+    at_g = mats.copy()
+    at_g[g] += noise
+    _rejects_like_loop(_with(dual, i, at_g), NotIrreducible, f"{label}: not a homomorphism")
+
+    reducible = np.zeros((group.order, d + 1, d + 1), dtype=complex)
+    reducible[:, :d, :d] = mats
+    reducible[:, d, d] = 1.0
+    _rejects_like_loop(_with(dual, i, reducible), NotIrreducible, f"{label}: character norm")
+
+    incomplete = DualObject(group, dual.irreps[:i] + dual.irreps[i + 1:])
+    _rejects_like_loop(incomplete, IncompleteDual, f"is {group.order - d * d}, expected |G| = {group.order}")
+
+
+@pytest.mark.parametrize("order, d", [(o, d) for o, d in PLANTED_DIMS if d > 1])
+def test_non_unitary_homomorphism_is_rejected(split_duals, order, d):
+    dual = split_duals[order]
+    i = _first_of_dim(dual, d)
+    rng = np.random.default_rng(order + d)
+    s = np.eye(d) + 1e-6 * random_complex(rng, d * d).reshape(d, d)
+    mats = s @ dual.irreps[i].matrices @ np.linalg.inv(s)  # still a homomorphism, no longer unitary
+    _rejects_like_loop(_with(dual, i, mats), NotIrreducible, f"{dual.irreps[i].label}: matrices not unitary")
+
+
+def test_equivalent_pairs_are_named_in_row_major_order(split_duals):
+    dual = split_duals[5]
+    s = dual.irreps  # dimensions 1, 1, 4, 4, 5, 5, 6
+    rng = np.random.default_rng(3)
+
+    def copy_of(source, target):
+        q, _ = np.linalg.qr(random_complex(rng, source.dim**2).reshape(source.dim, source.dim))
+        return UnitaryIrrep(target.label, target.dim, source.conjugated(q).matrices)
+
+    for i, j in ((0, 1), (2, 3), (4, 5)):
+        planted = list(s)
+        planted[j] = copy_of(s[i], s[j])
+        _rejects_like_loop(DualObject(dual.group, planted), NotIrreducible, f"{s[i].label} and {s[j].label} are equivalent")
+    # equivalent pairs at positions (0, 3) and (1, 2): the pair (0, 3) comes first in row-major order
+    order = [s[2], s[4], copy_of(s[4], s[5]), copy_of(s[2], s[3]), s[0], s[1], s[6]]
+    _rejects_like_loop(DualObject(dual.group, order), NotIrreducible, f"{s[2].label} and {s[3].label} are equivalent")

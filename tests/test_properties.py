@@ -1,5 +1,7 @@
 """Property tests of the batched layers against the loops in oracles.py."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from oracles import (  # noqa: E402
     intertwining_loop,
     invariance_support_loop,
     inverse_fourier_loop,
+    pair_products_einsum,
     point_permutation_loop,
     poisson_compact_loop,
     quotient_fourier_loop,
     reciprocal_space_loop,
+    regular_average_loop,
     stabilizer_tables_loop,
     symmetry_adapted_basis_loop,
     zak_inverse_loop,
@@ -28,13 +32,21 @@ from oracles import (  # noqa: E402
 from planted import assert_same_outcome, outcome  # noqa: E402
 from sample_actions import regular_and_cosets  # noqa: E402
 from zakspace.bloch import band_structure, check_invariance, symmetry_adapted_basis  # noqa: E402
-from zakspace.duals import irreps  # noqa: E402
+from zakspace.duals import _pair_products, _regular_average, irreps  # noqa: E402
 from zakspace.errors import SampleSetNotClosed  # noqa: E402
 from zakspace.euclid import IsometryElement, IsometryGroupSpec, act, generate, rotation_z  # noqa: E402
 from zakspace.fixtures import random_complex  # noqa: E402
 from zakspace.actions import make_action  # noqa: E402
 from zakspace.fourier import fourier, inverse_fourier  # noqa: E402
-from zakspace.groups import cyclic_group, dihedral_group, generated_subgroup, make_group, symmetric_group  # noqa: E402
+from zakspace.groups import (  # noqa: E402
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    generated_subgroup,
+    make_group,
+    permutation_table,
+    symmetric_group,
+)
 from zakspace.radiation import _point_permutation  # noqa: E402
 from zakspace.weil import weil_structure  # noqa: E402
 from zakspace.reciprocal import (  # noqa: E402
@@ -111,14 +123,23 @@ def test_perturbed_point_set_not_closed_on_both_paths(order, dihedral, seeds, wh
 # the batched finite Zak transforms against the per-block loops
 
 
+FACTORS = [cyclic_group(2), cyclic_group(3), symmetric_group(3), dihedral_group(4)]
+A4_TABLE = permutation_table([p for p in permutations(range(4)) if np.linalg.det(np.eye(4)[list(p)]) > 0])
+
+
 @st.composite
-def relabelled_groups(draw):
-    """A cyclic, dihedral, S3 or S4 table with its elements renamed at random."""
-    kind = draw(st.sampled_from(["cyclic", "dihedral", "S3", "S4"]))
+def relabelled_groups(draw, kinds=("cyclic", "dihedral", "S3", "S4")):
+    """A table of one of the kinds (cyclic, dihedral, S3, S4, A4 or a direct
+    product of two small groups) with its elements renamed at random."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "cyclic":
         base = cyclic_group(draw(st.integers(1, 12))).table
     elif kind == "dihedral":
         base = dihedral_group(draw(st.integers(2, 6))).table
+    elif kind == "A4":
+        base = A4_TABLE
+    elif kind == "product":
+        base = direct_product(draw(st.sampled_from(FACTORS)), draw(st.sampled_from(FACTORS))).table
     else:
         base = symmetric_group(3 if kind == "S3" else 4).table
     n = len(base)
@@ -216,3 +237,18 @@ def test_zak_callers_and_bases_match_loops_on_relabelled_actions(drawn, data):
     h = sum(p @ (raw + raw.conj().T) @ p.T for p in perms)
     got, want = outcome(check_invariance, action, h), outcome(check_invariance_dense, action, h)
     assert_same_outcome(got, want, lambda a, b: True)
+
+
+# ---------------------------------------------------------------------------
+# the regular-representation split and the homomorphism check against their loops
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(group=relabelled_groups(kinds=("S3", "S4", "A4", "dihedral", "product")), seed=st.integers(0, 2**32 - 1))
+def test_regular_average_and_pair_products_match_loops(group, seed):
+    rng = np.random.default_rng(seed)
+    m = random_complex(rng, group.order**2).reshape(group.order, group.order)
+    want = regular_average_loop(group, m)
+    assert np.max(np.abs(_regular_average(group, m) - want)) <= 1e-12 * np.max(np.abs(want))
+    for s in irreps(group).irreps:
+        assert np.max(np.abs(_pair_products(s.matrices) - pair_products_einsum(s.matrices))) <= 1e-14

@@ -2,9 +2,13 @@
 
 Three routes produce a complete dual:
 
-* closed-form catalogs for cyclic, dihedral, and direct-product structure
-  (detected from the table, so isomorphic copies with scrambled element
-  order work too);
+* closed-form catalogs for cyclic, dihedral, direct-product and symmetric
+  structure (detected from the table, so isomorphic copies with scrambled
+  element order work too).  A group of order n! (n >= 4) is recognised as
+  S_n by a Coxeter chain of involutions s_1, ..., s_{n-1} found in the
+  table ((s_i s_{i+1})^3 = e, s_i s_j = s_j s_i for |i - j| > 1, closing
+  to all n! elements); its irreps are Young's orthogonal form on that
+  chain, carried to every element along a breadth-first word;
 * induction of the characters of a supplied normal abelian subgroup up to
   the group, followed by numeric splitting of each induced representation;
 * splitting of the regular representation with a random element of its
@@ -302,18 +306,151 @@ def _dihedral_dual(group: FiniteGroup, r: int, s: int, rot: set) -> DualObject:
 def _product_dual(group: FiniteGroup, seed: int) -> DualObject:
     g1, g2 = group._factors
     d1, d2 = irreps(g1, seed=seed), irreps(g2, seed=seed)
-    n2 = g2.order
     out = []
     for s1 in d1.irreps:
         for s2 in d2.irreps:
-            mats = np.empty(
-                (group.order, s1.dim * s2.dim, s1.dim * s2.dim), dtype=complex
-            )
-            for g in group.elements():
-                a, b = divmod(g, n2)
-                mats[g] = np.kron(s1.matrices[a], s2.matrices[b])
-            out.append(UnitaryIrrep(f"{s1.label}*{s2.label}", s1.dim * s2.dim, mats))
+            # element a*|G2| + b gets kron(s1(a), s2(b)): axes (a, b, i, k, j, l) -> (g, i*d2 + k, j*d2 + l)
+            d = s1.dim * s2.dim
+            a = s1.matrices[:, None, :, None, :, None]
+            b = s2.matrices[None, :, None, :, None, :]
+            mats = (a * b).reshape(group.order, d, d)
+            out.append(UnitaryIrrep(f"{s1.label}*{s2.label}", d, mats))
     return DualObject(group, out)
+
+
+# ---------------------------------------------------------------------------
+# symmetric groups: Young's orthogonal form on a Coxeter chain
+
+
+def _symmetric_degree(order: int) -> int | None:
+    """n with n! = order and n >= 4, or None."""
+    n, f = 1, 1
+    while f < order:
+        n += 1
+        f *= n
+    return n if f == order and n >= 4 else None
+
+
+def _breadth_first_words(group: FiniteGroup, gens: np.ndarray):
+    """Layers (elements, parents, via) of the right Cayley graph from the identity.
+
+    Every element g of a layer is parents[k] * gens[via[k]] with its parent in
+    the layer before.  None when right multiplication by gens does not reach
+    every element.
+    """
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    layers = []
+    while frontier.size:
+        new, first = np.unique(group.table[np.ix_(frontier, gens)], return_index=True)
+        fresh = ~seen[new]
+        new, first = new[fresh], first[fresh]
+        seen[new] = True
+        layers.append((new, frontier[first // len(gens)], first % len(gens)))
+        frontier = new
+    return layers if seen.all() else None
+
+
+def _coxeter_chain(group: FiniteGroup):
+    """(chain, layers) for a Coxeter chain of S_n in the table, or None.
+
+    Only a group of order n! (n >= 4) is searched.  Its involutions are tried
+    in index order, by backtracking, for s_1, ..., s_{n-1} with
+    (s_i s_{i+1})^3 = e and s_i s_j = s_j s_i for |i - j| > 1.  A chain is
+    accepted only if right multiplication by it closes to all n! elements:
+    the relations then make the group a quotient of S_n, and its order makes
+    it S_n, so s_i is the image of the transposition (i, i+1) under an
+    isomorphism.  layers are the breadth-first words of that closure.
+    """
+    n = _symmetric_degree(group.order)
+    if n is None:
+        return None
+    t, e = group.table, group.identity
+    elems = np.arange(group.order)
+    inv = elems[(t[elems, elems] == e) & (elems != e)]
+    prod = t[np.ix_(inv, inv)]
+    braid = (t[prod, t[prod, prod]] == e) & (prod != e)  # (s t)^3 = e, s != t
+    commute = prod == prod.T
+
+    def extend(chain):
+        if len(chain) == n - 1:
+            layers = _breadth_first_words(group, inv[chain])
+            return None if layers is None else (inv[chain], layers)
+        ok = braid[chain[-1]].copy() if chain else np.ones(len(inv), dtype=bool)
+        for j in chain[:-1]:
+            ok &= commute[j]
+        ok[chain] = False
+        for k in np.flatnonzero(ok):
+            found = extend(chain + [int(k)])
+            if found is not None:
+                return found
+        return None
+
+    return extend([])
+
+
+def _partitions(n: int, largest: int | None = None):
+    """The partitions of n, parts in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    largest = n if largest is None else largest
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _standard_tableaux(shape: tuple) -> list[tuple]:
+    """The standard Young tableaux of a shape, each as the (row, column) cell of 1, ..., n."""
+    n, out = sum(shape), []
+
+    def fill(cells, lengths):
+        if len(cells) == n:
+            out.append(tuple(cells))
+            return
+        for r, c in enumerate(lengths):
+            if c < shape[r] and (r == 0 or lengths[r - 1] > c):
+                lengths[r] += 1
+                fill(cells + [(r, c)], lengths)
+                lengths[r] -= 1
+
+    fill([], [0] * len(shape))
+    return out
+
+
+def _young_orthogonal_generators(shape: tuple) -> np.ndarray:
+    """(n-1, d, d) real orthogonal matrices of (i, i+1), i = 1..n-1, in Young's orthogonal form.
+
+    With the axial distance r = c(i+1) - c(i) of the contents c = column - row,
+    s_i sends a tableau T to T / r + sqrt(1 - 1/r^2) s_i T; r = +1 (same row)
+    and r = -1 (same column) give +T and -T (James & Kerber 1981, Sagan 2001).
+    """
+    tableaux = _standard_tableaux(shape)
+    index = {tab: k for k, tab in enumerate(tableaux)}
+    n, d = sum(shape), len(tableaux)
+    s = np.zeros((n - 1, d, d))
+    for k, tab in enumerate(tableaux):
+        for i in range(n - 1):
+            (r1, c1), (r2, c2) = tab[i], tab[i + 1]
+            r = (c2 - r2) - (c1 - r1)
+            s[i, k, k] = 1.0 / r
+            if abs(r) > 1:
+                s[i, index[tab[:i] + (tab[i + 1], tab[i]) + tab[i + 2:]], k] = np.sqrt(1.0 - 1.0 / r**2)
+    return s
+
+
+def _symmetric_dual(group: FiniteGroup, chain: np.ndarray, layers) -> DualObject:
+    """One irrep per partition of n, sigma(g) = sigma(parent) sigma(s_via) one breadth-first layer at a time."""
+    mats_list = []
+    for shape in _partitions(len(chain) + 1):
+        s = _young_orthogonal_generators(shape)
+        mats = np.empty((group.order,) + s.shape[1:])
+        mats[group.identity] = np.eye(s.shape[1])
+        for elems, parents, via in layers:
+            mats[elems] = mats[parents] @ s[via]
+        mats_list.append(mats.astype(complex))
+    return DualObject(group, _sorted_irreps(group, mats_list))
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +644,11 @@ def irreps(group: FiniteGroup, catalog_hint: str | None = None, normal_abelian=N
     """A complete validated DualObject for a modest finite group.
 
     Route selection: an explicit catalog_hint ("cyclic:N", "dihedral:N",
-    "product") is honored or rejected; otherwise abelian, dihedral, and
-    direct-product structure is detected, a supplied normal abelian
-    subgroup triggers the induction route, and the regular representation
-    is split numerically as the fallback.
+    "product") is honored or rejected; otherwise a supplied normal abelian
+    subgroup triggers the induction route, abelian, dihedral and
+    direct-product structure is detected, then a group of order n! (n >= 4)
+    with a Coxeter chain of S_n in its table gets Young's orthogonal form,
+    and the regular representation is split numerically as the fallback.
     """
     if catalog_hint is not None:
         kind = catalog_hint.split(":")[0]
@@ -542,6 +680,11 @@ def irreps(group: FiniteGroup, catalog_hint: str | None = None, normal_abelian=N
         return dual
     if group._factors is not None:
         dual = _product_dual(group, seed)
+        validate_dual(dual)
+        return dual
+    found = _coxeter_chain(group)
+    if found is not None:
+        dual = _symmetric_dual(group, *found)
         validate_dual(dual)
         return dual
     return _regular_splitting_dual(group, seed)

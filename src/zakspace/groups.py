@@ -165,18 +165,50 @@ def _all_perms(n):
     return sorted(itertools.permutations(range(n)))
 
 
+_MAX_RANKED_POINTS = 20  # 20! < 2**63, so a lexicographic rank fits in int64
+
+
+def _lexicographic_ranks(perms: np.ndarray) -> np.ndarray:
+    """Rank of each row (a permutation of 0..k-1) among all k! in lexicographic order (Lehmer code)."""
+    k = perms.shape[-1]
+    ranks = np.zeros(perms.shape[:-1], dtype=np.int64)
+    for i in range(k - 1):
+        smaller_later = (perms[..., i + 1:] < perms[..., i : i + 1]).sum(axis=-1)
+        ranks = ranks * (k - i) + smaller_later
+    return ranks
+
+
 def permutation_table(perms) -> np.ndarray:
-    """Composition table for a list of permutations, (p*q)(i) = p(q(i))."""
-    perms = [tuple(p) for p in perms]
-    index = {p: i for i, p in enumerate(perms)}
-    n_pts = len(perms[0])
-    table = np.empty((len(perms), len(perms)), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(n_pts))
-            if comp not in index:
-                raise NotSubgroup(f"permutation set not closed: {p} o {q}")
-            table[i, j] = index[comp]
+    """Composition table for a list of distinct permutations, (p*q)(i) = p(q(i)).
+
+    All pairs are composed as one gather per block of rows, and each
+    composite is looked up by its lexicographic rank among the sorted ranks
+    of the list.  A set that is not closed raises NotSubgroup, naming the
+    first pair in row-major order whose composite is missing.
+    """
+    p = np.asarray([tuple(q) for q in perms], dtype=np.int64)
+    m, k = p.shape
+    if k > _MAX_RANKED_POINTS:
+        raise ValueError(f"permutation_table takes at most {_MAX_RANKED_POINTS} points, got {k}")
+    if not (np.sort(p, axis=1) == np.arange(k)).all():
+        raise ValueError(f"each row must be a permutation of 0..{k - 1}")
+    ranks = _lexicographic_ranks(p)
+    order = np.argsort(ranks)
+    sorted_ranks = ranks[order]
+    if (np.diff(sorted_ranks) == 0).any():
+        raise ValueError("permutations must be distinct")
+    table = np.empty((m, m), dtype=int)
+    block = max(1, (1 << 22) // (m * k))  # rows per gather: about 4M composite entries
+    for start in range(0, m, block):
+        comp = p[start : start + block][:, p]  # comp[i, j] = p_i o p_j
+        r = _lexicographic_ranks(comp)
+        pos = np.minimum(np.searchsorted(sorted_ranks, r), m - 1)
+        missing = sorted_ranks[pos] != r
+        if missing.any():
+            i, j = np.argwhere(missing)[0]
+            a, b = tuple(p[start + i].tolist()), tuple(p[j].tolist())
+            raise NotSubgroup(f"permutation set not closed: {a} o {b}")
+        table[start : start + block] = order[pos]
     return table
 
 

@@ -8,8 +8,10 @@ the scan lookups of the torus folding, the pair-by-pair homomorphism and
 cocycle checks, the orbit scan, the per-block finite Zak transforms, the
 per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
 bloch), the unfolding loop of the lattice inverse, the dense-matrix
-invariance check, the group average over shuffled copies of a matrix and
-the pairwise homomorphism and character checks of a dual.  The tests
+invariance check, the group average over shuffled copies of a matrix, the
+pairwise homomorphism and character checks of a dual, the per-element
+Kronecker products of the product catalog and the pair-by-pair composition
+of a permutation table.  The tests
 require the library to reproduce them exactly (bands, Zak blocks and
 inverses to 1e-12; orbits and the Weil structure bitwise) and to raise the
 same exception at the same first item.
@@ -22,7 +24,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from zakspace.actions import OrbitDecomposition
-from zakspace.duals import CHAR_ATOL, HOM_ATOL, UNITARY_ATOL
+from zakspace.duals import CHAR_ATOL, HOM_ATOL, UNITARY_ATOL, DualObject, UnitaryIrrep, irreps
 from zakspace.errors import (
     EquivarianceViolation,
     IncompleteDual,
@@ -32,6 +34,7 @@ from zakspace.errors import (
     NotHomomorphism,
     NotInvariant,
     NotIrreducible,
+    NotSubgroup,
     SampleSetNotClosed,
     ShapeMismatch,
     SizeMismatch,
@@ -552,6 +555,39 @@ def validate_dual_loop(dual) -> None:
         for j in range(i + 1, len(chars)):
             if abs(np.vdot(chars[j], chars[i]) / n) > CHAR_ATOL:
                 raise NotIrreducible(f"{dual.irreps[i].label} and {dual.irreps[j].label} are equivalent")
+
+
+def product_dual_loop(group, seed: int) -> DualObject:
+    """The product catalog with one np.kron per element per pair of factor irreps."""
+    g1, g2 = group._factors
+    d1, d2 = irreps(g1, seed=seed), irreps(g2, seed=seed)
+    out = []
+    for s1 in d1.irreps:
+        for s2 in d2.irreps:
+            mats = np.empty((group.order, s1.dim * s2.dim, s1.dim * s2.dim), dtype=complex)
+            for g in group.elements():
+                a, b = divmod(g, g2.order)
+                mats[g] = np.kron(s1.matrices[a], s2.matrices[b])
+            out.append(UnitaryIrrep(f"{s1.label}*{s2.label}", s1.dim * s2.dim, mats))
+    return DualObject(group, out)
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+
+def permutation_table_loop(perms) -> np.ndarray:
+    """(p*q)(i) = p(q(i)) pair by pair, each composite looked up in a dict."""
+    perms = [tuple(p) for p in perms]
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            comp = tuple(p[q[k]] for k in range(len(p)))
+            if comp not in index:
+                raise NotSubgroup(f"permutation set not closed: {p} o {q}")
+            table[i, j] = index[comp]
+    return table
 
 
 # ---------------------------------------------------------------------------

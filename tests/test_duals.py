@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from planted import assert_same_outcome, outcome
 from zakspace.duals import (
     DualObject,
     UnitaryIrrep,
+    _coxeter_chain,
     _pair_products,
+    _regular_splitting_dual,
     dual_abelian,
     irreps,
     irreps_by_induction,
@@ -20,6 +24,7 @@ from zakspace.groups import (
     direct_product,
     generated_subgroup,
     make_group,
+    permutation_table,
     symmetric_group,
 )
 
@@ -86,8 +91,6 @@ def test_product_dual():
 
 def test_regular_splitting_matches_catalog():
     g = symmetric_group(3)
-    from zakspace.duals import _regular_splitting_dual
-
     dual = _regular_splitting_dual(g, seed=0)
     assert sorted(s.dim for s in dual.irreps) == [1, 1, 2]
     validate_dual(dual)
@@ -159,11 +162,69 @@ def test_quaternion_fallback_splitting():
 
 def test_d6_regular_splitting():
     g = dihedral_group(6)
-    from zakspace.duals import _regular_splitting_dual
-
     dual = _regular_splitting_dual(g, seed=4)
     assert sorted(s.dim for s in dual.irreps) == [1, 1, 1, 1, 2, 2]
     validate_dual(dual)
+
+
+# ---------------------------------------------------------------------------
+# the S_n catalog: Young's orthogonal form on a Coxeter chain found in the table
+
+
+def relabelled(group, seed):
+    """The table with element g renamed perm[g], through make_group (so without _factors)."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    inv = np.argsort(perm)
+    return make_group(perm[group.table[np.ix_(inv, inv)]])
+
+
+def special_linear_group(p):
+    """SL(2, p): the 2x2 matrices (a, b; c, d) mod p of determinant 1."""
+    mats = [m for m in itertools.product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+    return make_group([[index[mul(x, y)] for y in mats] for x in mats], name=f"SL(2,{p})")
+
+
+def alternating_group(n):
+    even = [p for p in itertools.permutations(range(n)) if np.linalg.det(np.eye(n)[list(p)]) > 0]
+    return make_group(permutation_table(even), name=f"alternating:{n}")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetric_catalog_is_real_and_does_not_depend_on_the_seed(n):
+    g = relabelled(symmetric_group(n), n)
+    assert _coxeter_chain(g) is not None
+    d0, d7 = irreps(g, seed=0), irreps(g, seed=7)
+    validate_dual(d0)
+    assert d0.labels == [f"sigma{i}" for i in range(len(d0.irreps))]
+    for a, b in zip(d0.irreps, d7.irreps, strict=True):
+        assert a.label == b.label and np.array_equal(a.matrices, b.matrices)
+        assert not np.any(a.matrices.imag)
+
+
+# groups of order 4! and 5! that are not S_4 or S_5; the products are relabelled, so they have no _factors
+NOT_SYMMETRIC = {
+    "SL(2,3)": lambda: special_linear_group(3),
+    "SL(2,5)": lambda: special_linear_group(5),
+    "C2xA4": lambda: relabelled(direct_product(cyclic_group(2), alternating_group(4)), 1),
+    "C2xA5": lambda: relabelled(direct_product(cyclic_group(2), alternating_group(5)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_SYMMETRIC))
+def test_coxeter_search_returns_none_on_other_groups_of_factorial_order(name):
+    g = NOT_SYMMETRIC[name]()
+    assert g.order in (24, 120) and g._factors is None
+    assert _coxeter_chain(g) is None
+    dual = irreps(g)  # falls through to the regular-representation split
+    validate_dual(dual)
+    assert sum(s.dim**2 for s in dual.irreps) == g.order
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +234,7 @@ def test_d6_regular_splitting():
 @pytest.fixture(scope="module")
 def split_duals():
     """S4 (dimensions 1, 1, 2, 3, 3) and S5 (1, 1, 4, 4, 5, 5, 6) from the regular-representation split."""
-    return {4: irreps(symmetric_group(4)), 5: irreps(symmetric_group(5))}
+    return {n: _regular_splitting_dual(symmetric_group(n), seed=0) for n in (4, 5)}
 
 
 # (symmetric group, irrep dimension): every dimension of S5 and the 2 of S4

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from zakspace.groups import (
     is_normal,
     left_cosets,
     make_group,
+    permutation_table,
     symmetric_group,
 )
 
@@ -114,3 +117,22 @@ def test_non_integer_table_entry_rejected(table):
 
 def test_integral_float_table_accepted():
     assert make_group([[0.0, 1.0], [1.0, 0.0]]).table.dtype == int
+
+
+def test_permutation_table_names_the_first_missing_composite():
+    perms = [(0, 1, 2), (1, 2, 0)]  # the 3-cycle without its square
+    with pytest.raises(NotSubgroup, match=r"\(1, 2, 0\) o \(1, 2, 0\)"):
+        permutation_table(perms)
+
+
+@pytest.mark.parametrize("perms", [[(0, 1), (0, 1)], [(0, 0), (1, 1)], [tuple(range(21))]])
+def test_permutation_table_rejects_rows_it_cannot_rank(perms):
+    with pytest.raises(ValueError):
+        permutation_table(perms)
+
+
+def test_s6_permutation_table_composes_every_pair():
+    perms = np.array(list(itertools.permutations(range(6))))
+    table = permutation_table(perms)
+    composed = perms[:, perms]  # composed[i, j] = p_i o p_j
+    assert np.array_equal(perms[table], composed)

@@ -19,8 +19,10 @@ from oracles import (  # noqa: E402
     invariance_support_loop,
     inverse_fourier_loop,
     pair_products_einsum,
+    permutation_table_loop,
     point_permutation_loop,
     poisson_compact_loop,
+    product_dual_loop,
     quotient_fourier_loop,
     reciprocal_space_loop,
     regular_average_loop,
@@ -32,7 +34,16 @@ from oracles import (  # noqa: E402
 from planted import assert_same_outcome, outcome  # noqa: E402
 from sample_actions import regular_and_cosets  # noqa: E402
 from zakspace.bloch import band_structure, check_invariance, symmetry_adapted_basis  # noqa: E402
-from zakspace.duals import _pair_products, _regular_average, irreps  # noqa: E402
+from zakspace.duals import (  # noqa: E402
+    _coxeter_chain,
+    _pair_products,
+    _product_dual,
+    _regular_average,
+    _regular_splitting_dual,
+    _symmetric_dual,
+    irreps,
+    validate_dual,
+)
 from zakspace.errors import SampleSetNotClosed  # noqa: E402
 from zakspace.euclid import IsometryElement, IsometryGroupSpec, act, generate, rotation_z  # noqa: E402
 from zakspace.fixtures import random_complex  # noqa: E402
@@ -252,3 +263,66 @@ def test_regular_average_and_pair_products_match_loops(group, seed):
     assert np.max(np.abs(_regular_average(group, m) - want)) <= 1e-12 * np.max(np.abs(want))
     for s in irreps(group).irreps:
         assert np.max(np.abs(_pair_products(s.matrices) - pair_products_einsum(s.matrices))) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the S_n catalog against the splitter, the product catalog and the permutation table against their loops
+
+
+SYMMETRIC_TABLES = {n: symmetric_group(n).table for n in (4, 5)}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.sampled_from([4, 5]), data=st.data())
+def test_symmetric_catalog_matches_the_splitter_on_relabelled_tables(n, data):
+    base = SYMMETRIC_TABLES[n]
+    relabel = np.array(data.draw(st.permutations(range(len(base)))))
+    inv = np.argsort(relabel)
+    group = make_group(relabel[base[np.ix_(inv, inv)]])
+    found = _coxeter_chain(group)
+    assert found is not None
+    route = _symmetric_dual(group, *found)
+    validate_dual(route)
+    split = _regular_splitting_dual(group, data.draw(st.integers(0, 2**32 - 1)))
+    assert route.labels == split.labels
+    assert [s.dim for s in route.irreps] == [s.dim for s in split.irreps]
+    assert np.max(np.abs(route.character_table - split.character_table)) <= 1e-12
+    assert all(np.array_equal(a.matrices, b.matrices) for a, b in zip(irreps(group).irreps, route.irreps, strict=True))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    left=relabelled_groups(kinds=("cyclic", "dihedral", "S3", "A4", "S4")),
+    right=relabelled_groups(kinds=("cyclic", "dihedral", "S3")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_dual_matches_kron_loop_on_relabelled_factors(left, right, seed):
+    group = direct_product(left, right)
+    got, want = _product_dual(group, seed), product_dual_loop(group, seed)
+    assert got.labels == want.labels
+    assert all(np.array_equal(a.matrices, b.matrices) for a, b in zip(got.irreps, want.irreps, strict=True))
+
+
+@st.composite
+def permutation_sets(draw):
+    """A permutation group on up to 5 points in drawn order, sometimes with one element dropped."""
+    k = draw(st.integers(1, 5))
+    gens = [tuple(g) for g in draw(st.lists(st.permutations(range(k)), max_size=2))]
+    elems = {tuple(range(k))}
+    frontier = list(elems)
+    while frontier:
+        new = [tuple(p[i] for i in g) for p in frontier for g in gens]
+        frontier = [q for q in dict.fromkeys(new) if q not in elems]
+        elems.update(frontier)
+    elems = sorted(elems)
+    perms = [elems[i] for i in draw(st.permutations(range(len(elems))))]
+    if len(perms) > 1 and draw(st.booleans()):
+        del perms[draw(st.integers(0, len(perms) - 1))]
+    return perms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(perms=permutation_sets())
+def test_permutation_table_matches_loop(perms):
+    got, want = outcome(permutation_table, perms), outcome(permutation_table_loop, perms)
+    assert_same_outcome(got, want, np.array_equal)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zakspace.actions import make_action, translation_action
-from zakspace.duals import irreps, validate_dual
+from zakspace.duals import _regular_splitting_dual, irreps, validate_dual
 from zakspace.fixtures import d3_triangle, random_complex
 from zakspace.fourier import plancherel_residual
 from zakspace.groups import (
@@ -46,7 +46,7 @@ def test_relabeled_groups_detected(make, dims):
 
 def test_s4_regular_splitting_and_zak():
     g = symmetric_group(4)
-    dual = irreps(g)  # fallback path: 3-dimensional irreps
+    dual = _regular_splitting_dual(g, seed=0)  # the numeric splitter: 3-dimensional irreps
     assert sorted(s.dim for s in dual.irreps) == [1, 1, 2, 3, 3]
     validate_dual(dual)
     rng = np.random.default_rng(1)
@@ -77,8 +77,6 @@ def test_random_weights_full_pipeline():
 def test_seed_stability_of_fallback():
     # different seeds give equivalent duals: same sorted character multiset
     g = symmetric_group(4)
-    from zakspace.duals import _regular_splitting_dual
-
     chars0 = sorted(
         tuple(np.round(s.character(), 8)) for s in _regular_splitting_dual(g, 0).irreps
     )
@@ -92,7 +90,7 @@ def test_seed_stability_of_fallback():
 
 def test_s5_at_scale():
     g = symmetric_group(5)
-    dual = irreps(g)
+    dual = _regular_splitting_dual(g, seed=0)
     assert sorted(s.dim for s in dual.irreps) == [1, 1, 4, 4, 5, 5, 6]
     validate_dual(dual)
 

@@ -51,7 +51,16 @@ class GroupAction:
 
 
 def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
-    """Validate permutations (exhaustive homomorphism check) and weights."""
+    """Validate permutations (homomorphism check on generator rows) and weights.
+
+    perm is a homomorphism when the identity row is the identity and
+    perm(s h) = perm(s) o perm(h) for every generator s and every h: the
+    elements g passing the second test for all h are closed under products,
+    and products of generators are all of G (the generator-closure argument,
+    Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+    The check is exact, O(|S| |G| m); a failing (s, h) names a generator s
+    and is the first failing h of the first failing generator.
+    """
     perm = _integer_array(perm, "perm")
     if perm.ndim != 2 or perm.shape[0] != group.order:
         raise SizeMismatch(f"perm must have one row per group element, got {perm.shape}")
@@ -75,11 +84,10 @@ def make_action(group: FiniteGroup, perm, weights=None) -> GroupAction:
 
     if not np.array_equal(perm[group.identity], np.arange(m)):
         raise NotHomomorphism(group.identity, group.identity)
-    # perm(g h) = perm(g) o perm(h), one g row at a time; the first failing (g, h) is reported
-    for g in group.elements():
-        bad = np.flatnonzero((perm[group.table[g]] != perm[g][perm]).any(axis=1))
+    for s in group.generators.tolist():
+        bad = np.flatnonzero((perm[group.table[s]] != perm[s][perm]).any(axis=1))
         if bad.size:
-            raise NotHomomorphism(g, int(bad[0]))
+            raise NotHomomorphism(s, int(bad[0]))
     return GroupAction(group, perm, weights)
 
 

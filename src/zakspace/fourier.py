@@ -27,24 +27,33 @@ def forward(values: np.ndarray, dual: DualObject) -> list[np.ndarray]:
     ]
 
 
+_CHUNK_ENTRIES = 4096  # 64 KiB of complex: half glibc's default mmap threshold, so no temporary is mapped
+
+
 def inverse(blocks: list, rows: np.ndarray, elements: np.ndarray, dual: DualObject) -> np.ndarray:
-    """(irreps, points) array of (d/|G|) tr(Z[rows[x]] sigma(elements[x])).
+    """(points,) array of sum_sigma (d/|G|) tr(Z[rows[x]] sigma(elements[x])).
 
     blocks holds one (n, k, d, d) stack per dimension class, and rows index
-    its first axis.  Each class is one gather by row and by element and one
-    batched product, over chunks of points so that no temporary exceeds 8192
-    matrix entries.
+    its first axis.  The points go in chunks.  For each chunk, each class is
+    one gather by row and by element and one batched product, traced into
+    an (irreps, points) buffer; the buffer's terms are then added up over
+    the irreps in the dual's order, as a pointwise loop from zero adds them
+    (a matmul accumulates from zero, so no term is -0.0, and starting from
+    the first term gives the same bits).  A chunk holds
+    4096 // max(irreps, k d^2) points, so no temporary exceeds 4096 entries.
     """
-    order = dual.group.order
-    terms = np.empty((len(dual.irreps), len(rows)), dtype=complex)
-    for (d, idx, mats), z in zip(dual.dim_classes, blocks):
-        step = max(1, 8192 // (len(idx) * d * d))  # points per product
-        for lo in range(0, len(rows), step):
-            pts = slice(lo, lo + step)
-            tr = np.trace(z[rows[pts]] @ mats[:, elements[pts]].swapaxes(0, 1), axis1=2, axis2=3)
-            tr *= d / order
-            terms[idx, pts] = tr.T
-    return terms
+    order, r = dual.group.order, len(dual.irreps)
+    step = max(1, _CHUNK_ENTRIES // max(r, *(mats[:, 0].size for _d, _idx, mats in dual.dim_classes)))
+    buffer = np.empty((r, step), dtype=complex)
+    out = np.empty(len(rows), dtype=complex)
+    for lo in range(0, len(rows), step):
+        at, el = rows[lo : lo + step], elements[lo : lo + step]
+        terms = buffer[:, : len(at)]
+        for (d, idx, mats), z in zip(dual.dim_classes, blocks):
+            terms[idx] = (z[at].swapaxes(0, 1) @ mats[:, el]).trace(axis1=2, axis2=3) * (d / order)
+        np.add.accumulate(terms, axis=0, out=terms)  # sequential in irrep order, unlike a reduce
+        out[lo : lo + step] = terms[-1]
+    return out
 
 
 def subgroup_projectors(dual: DualObject, subgroups) -> list[np.ndarray]:
@@ -95,7 +104,7 @@ def inverse_fourier(coeffs: FourierCoefficients, dual: DualObject) -> np.ndarray
             raise ShapeMismatch(f"{s.label}: expected {(s.dim, s.dim)}, got {np.shape(coeffs.blocks[s.label])}")
     n, labels = dual.group.order, dual.labels
     blocks = [np.array([[coeffs.blocks[labels[i]] for i in idx]], dtype=complex) for _d, idx, _m in dual.dim_classes]
-    return inverse(blocks, np.zeros(n, dtype=int), np.arange(n), dual).sum(axis=0)
+    return inverse(blocks, np.zeros(n, dtype=int), np.arange(n), dual)
 
 
 def plancherel_residual(f, dual: DualObject) -> float:

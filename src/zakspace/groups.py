@@ -1,10 +1,10 @@
 """Finite groups given by multiplication tables, elements indexed 0..n-1.
 
 A group is stored as an n x n table of element indices together with the
-located identity and per-element inverses.  The counting measure (weight 1
-per element) is the Haar measure throughout zakspace; it is two-sided
-invariant, so the modular function is identically 1 and all unimodularity
-hypotheses hold for free.
+located identity, per-element inverses and a small generating set.  The
+counting measure (weight 1 per element) is the Haar measure throughout
+zakspace; it is two-sided invariant, so the modular function is identically
+1 and all unimodularity hypotheses hold for free.
 """
 
 from __future__ import annotations
@@ -38,14 +38,17 @@ class FiniteGroup:
 
     Use :func:`make_group` (or one of the named constructors) instead of
     calling this directly; construction assumes the table was checked.
-    table and inverses are read-only copies, as GroupAction's arrays are.
+    table, inverses and generators are read-only copies, as GroupAction's
+    arrays are.  generators is the generating set make_group found, at
+    most log2(order) elements; the action and cocycle checks run on it.
     """
 
-    def __init__(self, table, identity, inverses, name=None):
+    def __init__(self, table, identity, inverses, generators, name=None):
         self.table = _read_only_copy(table, int)
         self.order = int(self.table.shape[0])
         self.identity = int(identity)
         self.inverses = _read_only_copy(inverses, int)
+        self.generators = _read_only_copy(generators, int)
         self.name = name
         self._factors = None  # set by direct_product
 
@@ -89,10 +92,53 @@ class FiniteGroup:
         return f"<{label} of order {self.order}>"
 
 
-def make_group(table, name=None) -> FiniteGroup:
-    """Validate a multiplication table and locate identity and inverses.
+def _greedy_generators(t: np.ndarray, identity: int) -> list[int]:
+    """A generating set: each generator is the smallest element that right
+    multiplication by the earlier ones does not reach from the identity.
 
-    Raises NotAssociative / NoIdentity / NoInverse, each naming the witness.
+    Every reached element is a product of generators.  In a group each new
+    generator lies outside the subgroup generated so far, so that subgroup at
+    least doubles and there are at most log2(n) generators.
+    """
+    n = len(t)
+    reached = [False] * n
+    reached[identity] = True
+    elements, generators, columns = [identity], [], []
+    candidate = 0
+    while len(elements) < n:
+        while reached[candidate]:
+            candidate += 1
+        generators.append(candidate)
+        columns.append(t[:, candidate].tolist())  # columns[i][x] = x * generators[i]
+        frontier = [columns[-1][x] for x in elements]
+        while frontier:
+            new = []
+            for y in frontier:
+                if not reached[y]:
+                    reached[y] = True
+                    elements.append(y)
+                    new.append(y)
+            frontier = [col[y] for y in new for col in columns]
+    return generators
+
+
+def make_group(table, name=None) -> FiniteGroup:
+    """Validate a multiplication table; locate identity, inverses and generators.
+
+    The checks run in this order, each raising at its witness: NoIdentity;
+    NotAssociative, naming a failing triple (g*h)*k != g*(h*k); NoInverse,
+    naming the smallest element without a two-sided inverse.
+
+    Associativity is checked on generators by Light's test (Clifford &
+    Preston, The Algebraic Theory of Semigroups, 1961): the elements a with
+    (x a) y = x (a y) for all x, y contain the identity and are closed under
+    products, so if every generator passes, every product of generators does,
+    and that is every element.  This costs O(|S| n^2) and builds no n^3 array.
+    The generators (see FiniteGroup.generators) are found first, by
+    right-multiplication closure from the identity, which needs no
+    associativity.  A failing triple has a generator in the middle; it is
+    the first in row-major order for the first failing generator, not
+    necessarily the first of all triples.
     """
     t = _integer_array(table, "table")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -103,31 +149,28 @@ def make_group(table, name=None) -> FiniteGroup:
     if t.min() < 0 or t.max() >= n:
         raise ValueError("table entries out of range")
 
-    # two-sided identity
+    # two-sided identity: the first e whose row and column are both 0..n-1
     idx = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            identity = e
-            break
-    if identity is None:
+    two_sided = (t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity()
+    identity = int(np.argmax(two_sided))
 
-    # associativity: t[t[g,h],k] == t[g,t[h,k]] for all triples
-    lhs = t[t, :]
-    rhs = t[:, t]
-    if not np.array_equal(lhs, rhs):
-        g, h, k = np.argwhere(lhs != rhs)[0]
-        raise NotAssociative(int(g), int(h), int(k))
+    generators = _greedy_generators(t, identity)
+    for a in generators:
+        bad = t[t[:, a]] != t[:, t[a]]  # [x, y]: (x a) y != x (a y)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotAssociative(int(x), a, int(y))
 
-    inverses = np.full(n, -1, dtype=int)
-    for g in range(n):
-        hits = np.where(t[g] == identity)[0]
-        if hits.size == 0 or t[hits[0], g] != identity:
-            raise NoInverse(g)
-        inverses[g] = hits[0]
+    # inverses: the first h with g h = e must also give h g = e
+    is_e = t == identity
+    right = np.argmax(is_e, axis=1)
+    two_sided = is_e[idx, right] & is_e[right, idx]
+    if not two_sided.all():
+        raise NoInverse(int(np.argmin(two_sided)))
 
-    return FiniteGroup(t, identity, inverses, name=name)
+    return FiniteGroup(t, identity, right, generators, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _projected_inverse(dual: DualObject, fhat: list, projectors: list, mults, el
         np.where(mults[idx, None, None] >= 1, p @ z[0], 0.0)[None]
         for (_d, idx, _mats), p, z in zip(dual.dim_classes, projectors, fhat)
     ]
-    return inverse(blocks, np.zeros(len(elements), dtype=int), elements, dual).sum(axis=0)
+    return inverse(blocks, np.zeros(len(elements), dtype=int), elements, dual)
 
 
 def reciprocal_space(dual: DualObject, subgroup) -> ReciprocalSpace:

@@ -234,8 +234,8 @@ def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:
     """Pointwise inversion f(x) = sum_{sigma in perp} (d/|G|) tr(Z(x0,sigma) sigma(g)).
 
     g is any element carrying x to its representative; the choice is
-    immaterial because Z absorbs the stabilizer on the right.  The terms
-    come from the core's inverse sum and are added up over the irreps in the
+    immaterial because Z absorbs the stabilizer on the right.  The sum is
+    the core's inverse, which adds the terms up over the irreps in the
     dual's order, exactly as the pointwise sum adds them.
     """
     coeffs.check_invariants()
@@ -244,10 +244,7 @@ def zak_inverse(coeffs: ZakCoefficients) -> np.ndarray:
         np.where(coeffs.members[:, idx, None, None], z, 0.0)
         for (_d, idx, _mats), z in zip(dual.dim_classes, coeffs.blocks)
     ]
-    f = np.zeros(coeffs.action.npoints, dtype=complex)
-    for term in inverse(blocks, decomp.orbit_id, decomp.to_rep_element, dual):
-        f += term
-    return f
+    return inverse(blocks, decomp.orbit_id, decomp.to_rep_element, dual)
 
 
 def character_zak(action: GroupAction, f, dual: DualObject) -> dict:

@@ -4,10 +4,10 @@ Each function here is the element-by-element loop that the library ran
 before it was batched: one Bloch block and one eigvalsh per wave index,
 one nearest-point search per sample point, a sequential breadth-first
 closure that matches every candidate against every element found so far,
-the scan lookups of the torus folding, the pair-by-pair homomorphism and
-cocycle checks, the orbit scan, the per-block finite Zak transforms, the
+the scan lookups of the torus folding, the group table checks over every
+triple, the pair-by-pair homomorphism and cocycle checks, the orbit scan, the per-block finite Zak transforms, the
 per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
-bloch), the unfolding loop of the lattice inverse, the dense-matrix
+bloch), the group-Fourier inverse as one (irreps, points) array, the unfolding loop of the lattice inverse, the dense-matrix
 invariance check, the group average over shuffled copies of a matrix, the
 pairwise homomorphism and character checks of a dual, the per-element
 Kronecker products of the product catalog and the pair-by-pair composition
@@ -29,6 +29,9 @@ from zakspace.errors import (
     EquivarianceViolation,
     IncompleteDual,
     InvariantViolation,
+    NoIdentity,
+    NoInverse,
+    NotAssociative,
     NotClosable,
     NotCosetFunction,
     NotHomomorphism,
@@ -288,7 +291,49 @@ def symmetry_projection_loop(field, elements, irrep_matrices) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# actions and weil
+# groups, actions and weil
+
+
+def group_checks_loop(table) -> tuple[int, np.ndarray]:
+    """make_group's checks before generators: (identity, inverses) of a square table of indices.
+
+    The identity is the first element found by a scan, associativity is
+    associativity_loop, and inverses are found by a scan; each raises at its
+    first witness in index order.
+    """
+    t = np.asarray(table, dtype=int)
+    n = len(t)
+    idx = np.arange(n)
+    identity = next((e for e in range(n) if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)), None)
+    if identity is None:
+        raise NoIdentity()
+    associativity_loop(t)
+    inverses = np.full(n, -1, dtype=int)
+    for g in range(n):
+        hits = np.flatnonzero(t[g] == identity)
+        if hits.size == 0 or t[hits[0], g] != identity:
+            raise NoInverse(g)
+        inverses[g] = hits[0]
+    return identity, inverses
+
+
+def associativity_loop(t) -> None:
+    """Every triple at once, as two n x n x n arrays; raises at the first failing triple in row-major order."""
+    t = np.asarray(t, dtype=int)
+    lhs, rhs = t[t, :], t[:, t]  # [g, h, k] = (g h) k and g (h k)
+    if not np.array_equal(lhs, rhs):
+        g, h, k = np.argwhere(lhs != rhs)[0]
+        raise NotAssociative(int(g), int(h), int(k))
+
+
+def associative_at(t, g, h, k) -> bool:
+    t = np.asarray(t)
+    return bool(t[t[g, h], k] == t[g, t[h, k]])
+
+
+def homomorphism_holds_at(group, perm, g, h) -> bool:
+    """perm(g h) = perm(g) o perm(h), the test homomorphism_loop makes for one pair."""
+    return bool(np.array_equal(perm[group.mul(g, h)], perm[g][perm[h]]))
 
 
 def homomorphism_loop(group, perm) -> None:
@@ -297,9 +342,8 @@ def homomorphism_loop(group, perm) -> None:
     if not np.array_equal(perm[group.identity], np.arange(perm.shape[1])):
         raise NotHomomorphism(group.identity, group.identity)
     for g in group.elements():
-        pg = perm[g]
         for h in group.elements():
-            if not np.array_equal(perm[group.mul(g, h)], pg[perm[h]]):
+            if not homomorphism_holds_at(group, perm, g, h):
                 raise NotHomomorphism(g, h)
 
 
@@ -323,12 +367,17 @@ def orbits_loop(action) -> OrbitDecomposition:
     return OrbitDecomposition(orbit_of, reps, members, to_rep, stab_sizes)
 
 
+def cocycle_holds_at(group, inv_perm, lam, g1, g2) -> bool:
+    """(g2 lambda_{g1})(x) = lambda_{g1 g2^-1}(x) / lambda_{g2^-1}(x) at every x, to ATOL, for one pair."""
+    lhs = lam[g1][inv_perm[g2]]
+    rhs = lam[group.mul(g1, group.inv(g2))] / lam[group.inv(g2)]
+    return not np.max(np.abs(lhs - rhs)) > ATOL * max(1.0, np.max(np.abs(rhs)))
+
+
 def cocycle_identity_loop(group, inv_perm, lam) -> None:
     for g1 in group.elements():
         for g2 in group.elements():
-            lhs = lam[g1][inv_perm[g2]]
-            rhs = lam[group.mul(g1, group.inv(g2))] / lam[group.inv(g2)]
-            if np.max(np.abs(lhs - rhs)) > ATOL * max(1.0, np.max(np.abs(rhs))):
+            if not cocycle_holds_at(group, inv_perm, lam, g1, g2):
                 raise AssertionError(f"cocycle identity fails at ({g1},{g2})")
 
 
@@ -412,6 +461,32 @@ def zak_inverse_loop(action, dual, decomp, data, members) -> np.ndarray:
                 continue
             val += (s.dim / order) * np.trace(data[(x0, s.label)] @ s.matrices[g])
         f[x] = val
+    return f
+
+
+def masked_zak_blocks(coeffs) -> list:
+    """The Zak stacks with the blocks off the reciprocal space zeroed, as zak_inverse hands them to the core."""
+    return [
+        np.where(coeffs.members[:, idx, None, None], z, 0.0)
+        for (_d, idx, _m), z in zip(coeffs.dual.dim_classes, coeffs.blocks)
+    ]
+
+
+def inverse_by_irrep(blocks, rows, elements, dual) -> np.ndarray:
+    """fourier.inverse as it was: every term in one (irreps, points) array, in chunks of
+    at most 8192 matrix entries, then added up over the irreps from zero."""
+    order = dual.group.order
+    terms = np.empty((len(dual.irreps), len(rows)), dtype=complex)
+    for (d, idx, mats), z in zip(dual.dim_classes, blocks):
+        step = max(1, 8192 // (len(idx) * d * d))
+        for lo in range(0, len(rows), step):
+            pts = slice(lo, lo + step)
+            tr = np.trace(z[rows[pts]] @ mats[:, elements[pts]].swapaxes(0, 1), axis1=2, axis2=3)
+            tr *= d / order
+            terms[idx, pts] = tr.T
+    f = np.zeros(len(rows), dtype=complex)
+    for term in terms:
+        f += term
     return f
 
 

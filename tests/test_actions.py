@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import homomorphism_loop, orbits_loop
+from oracles import homomorphism_holds_at, homomorphism_loop, orbits_loop
 from sample_actions import oracle_actions
 from zakspace.actions import make_action, orbits, stabilizer, translation_action, transporter
 from zakspace.errors import EmptySet, NonpositiveWeight, NotHomomorphism
@@ -153,6 +153,9 @@ def _failing_pair(fn, *args):
 
 
 def test_homomorphism_check_fails_at_the_loops_pair():
+    """Two rows swapped.  Where that breaks the homomorphism (a swap that is an
+    automorphism does not), the loop and the generator check both raise, and
+    the pair the check names is one the loop's test fails at."""
     raised = 0
     for name, action in oracle_actions().items():
         group, n = action.group, action.group.order
@@ -162,9 +165,22 @@ def test_homomorphism_check_fails_at_the_loops_pair():
             perm = action.perm.copy()
             perm[[g1, g2]] = perm[[g2, g1]]  # swap two rows
             want = _failing_pair(homomorphism_loop, group, perm)
-            assert _failing_pair(make_action, group, perm, action.weights) == want, (name, g1, g2)
-            raised += want is not None
+            got = _failing_pair(make_action, group, perm, action.weights)
+            assert (got is None) == (want is None), (name, g1, g2)
+            if got is not None:
+                assert not homomorphism_holds_at(group, perm, *got), (name, g1, g2, got)
+                raised += 1
     assert raised >= 20
+
+
+def test_homomorphism_check_names_a_generator():
+    group = cyclic_group(6)  # generated by 1
+    perm = np.array([[(x + g) % 6 for x in range(6)] for g in range(6)])
+    perm[[2, 4]] = perm[[4, 2]]  # 2 and 4 are not generators, so the failing pair starts with 1
+    with pytest.raises(NotHomomorphism) as err:
+        make_action(group, perm)
+    assert list(group.generators) == [1]
+    assert err.value.pair[0] == 1 and not homomorphism_holds_at(group, perm, *err.value.pair)
 
 
 def test_non_permutation_row_reported_first():

@@ -120,3 +120,74 @@ def test_inverse_fourier_reports_the_loops_first_bad_block():
         got = outcome(inverse_fourier, coeffs, dual)
         assert got[:2] == ("raised", ShapeMismatch)
         assert_same_outcome(got, outcome(inverse_fourier_loop, coeffs.blocks, dual), None)
+
+
+# ---------------------------------------------------------------------------
+# the inverse core: bitwise the (irreps, points) body it replaced, in small temporaries
+
+
+def _orbit_shape(shape: str):
+    from sample_actions import d5_with_vertices
+    from zakspace.actions import make_action, translation_action
+
+    if shape == "d5_vertices":
+        return d5_with_vertices()  # 2-dimensional irreps
+    if shape == "one_orbit_per_point":
+        return make_action(cyclic_group(2), np.tile(np.arange(3000), (2, 1)))
+    s5 = symmetric_group(5)
+    if shape == "s5_on_letters":
+        return make_action(s5, np.array(s5.permutations))  # stabilizers of order 24
+    return translation_action(s5)
+
+
+@pytest.mark.parametrize("shape", ["s5_regular", "d5_vertices", "one_orbit_per_point", "s5_on_letters"])
+def test_inverse_is_the_irrep_body_summed_bitwise_on_every_orbit_shape(shape):
+    from oracles import inverse_by_irrep, masked_zak_blocks
+    from zakspace.fourier import inverse
+    from zakspace.zak import zak, zak_inverse
+
+    action = _orbit_shape(shape)
+    dual = irreps(action.group)
+    rng = np.random.default_rng(3)
+    for f in (random_complex(rng, action.npoints), np.zeros(action.npoints), -np.ones(action.npoints)):
+        coeffs = zak(action, f, dual)
+        decomp = coeffs.structure.decomp
+        blocks = masked_zak_blocks(coeffs)
+        want = inverse_by_irrep(blocks, decomp.orbit_id, decomp.to_rep_element, dual)
+        assert zak_inverse(coeffs).tobytes() == want.tobytes()
+        everywhere = np.zeros(action.group.order, dtype=int), np.arange(action.group.order)
+        assert inverse(blocks, *everywhere, dual).tobytes() == inverse_by_irrep(blocks, *everywhere, dual).tobytes()
+
+
+def _zak_inverse_footprint(action):
+    """tracemalloc peak of one zak_inverse call beyond its output and its copy of the Zak blocks, in bytes."""
+    import tracemalloc
+
+    from zakspace.zak import zak, zak_inverse
+
+    coeffs = zak(action, random_complex(np.random.default_rng(0), action.npoints), irreps(action.group))
+    zak_inverse(coeffs)  # the derived views are built once, outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = zak_inverse(coeffs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak - f.nbytes - sum(z.nbytes for z in coeffs.blocks)
+
+
+def test_zak_inverse_temporaries_stay_bounded_as_the_points_grow():
+    """C64 on 288 points, and on ten copies of them: a chunk's terms buffer, two gathers
+    and product are at most 4096 entries each, so the footprint beyond the output and the
+    blocks masked to the reciprocal space stays under 4 x 64 KiB + 8 KiB whatever the
+    number of points (the (irreps, points) body it replaced took 816 KB on 288 points,
+    and grows with them)."""
+    from sample_actions import cell_orbits
+    from zakspace.actions import make_action
+
+    small = cell_orbits()
+    copies = np.concatenate([small.perm + i * small.npoints for i in range(10)], axis=1)
+    large = make_action(small.group, copies, np.tile(small.weights, 10))
+    for action in (small, large):
+        assert _zak_inverse_footprint(action) <= 4 * 64 * 1024 + 8 * 1024

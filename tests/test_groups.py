@@ -1,9 +1,12 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zakspace.errors import NoInverse, NotAssociative, NotSubgroup
+from oracles import associative_at, group_checks_loop
+from zakspace.errors import NoIdentity, NoInverse, NotAssociative, NotSubgroup
 from zakspace.groups import (
     check_subgroup,
     cyclic_group,
@@ -136,3 +139,78 @@ def test_s6_permutation_table_composes_every_pair():
     table = permutation_table(perms)
     composed = perms[:, perms]  # composed[i, j] = p_i o p_j
     assert np.array_equal(perms[table], composed)
+
+
+# ---------------------------------------------------------------------------
+# generators, Light's test and the order of the checks
+
+
+NAMED_GROUPS = [
+    cyclic_group(1),
+    cyclic_group(2),
+    cyclic_group(12),
+    cyclic_group(64),
+    dihedral_group(1),
+    dihedral_group(5),
+    dihedral_group(12),
+    symmetric_group(1),
+    symmetric_group(3),
+    symmetric_group(4),
+    symmetric_group(5),
+    direct_product(cyclic_group(2), cyclic_group(2)),
+    direct_product(symmetric_group(3), cyclic_group(4)),
+    direct_product(dihedral_group(4), cyclic_group(3)),
+]
+
+
+@pytest.mark.parametrize("group", NAMED_GROUPS, ids=lambda g: g.name)
+def test_generators_are_few_read_only_and_generate(group):
+    gens = group.generators
+    with pytest.raises(ValueError):
+        gens[...] = 0
+    assert len(gens) <= np.log2(group.order)
+    assert generated_subgroup(group, gens.tolist()) == list(range(group.order))
+
+
+def test_each_generator_is_the_first_element_not_yet_reached():
+    assert cyclic_group(12).generators.tolist() == [1]
+    assert dihedral_group(5).generators.tolist() == [1, 5]  # r, then the first reflection
+    assert direct_product(cyclic_group(2), cyclic_group(2)).generators.tolist() == [1, 2]
+    assert cyclic_group(1).generators.tolist() == []
+
+
+def test_symmetric_group_6_builds_fast_without_a_cube():
+    start = time.perf_counter()
+    group = symmetric_group(6)
+    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        symmetric_group(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20  # one 720^3 int64 array would take about 3 GB
+    assert group.order == 720 and len(group.generators) <= np.log2(720)
+
+
+def test_checks_run_identity_then_associativity_then_inverses():
+    no_identity = [[1, 0], [0, 0]]  # also not associative, and nothing has an inverse
+    non_associative = [[0, 1, 2], [1, 0, 0], [2, 1, 1]]  # 0 is the identity; 2 has no inverse
+    no_inverse = np.maximum.outer(np.arange(3), np.arange(3))  # associative, 0 the identity
+    for table, error in ((no_identity, NoIdentity), (non_associative, NotAssociative), (no_inverse, NoInverse)):
+        with pytest.raises(error):
+            make_group(table)
+        with pytest.raises(error):
+            group_checks_loop(table)
+    with pytest.raises(NotAssociative) as err:
+        make_group(non_associative)
+    assert not associative_at(non_associative, *err.value.triple)
+    with pytest.raises(NoInverse) as err:
+        make_group(no_inverse)
+    assert err.value.element == 1  # the first of 1 and 2
+
+
+def test_identity_and_inverses_match_the_scans():
+    for group in NAMED_GROUPS:
+        identity, inverses = group_checks_loop(group.table)
+        assert group.identity == identity and np.array_equal(group.inverses, inverses), group.name

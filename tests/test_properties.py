@@ -1,5 +1,6 @@
 """Property tests of the batched layers against the loops in oracles.py."""
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -9,14 +10,22 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracles import (  # noqa: E402
+    associative_at,
     bands_loop,
     character_zak_loop,
     character_zak_reconstruct_loop,
     check_invariance_dense,
+    cocycle_holds_at,
+    cocycle_identity_loop,
     extension_gap_loop,
     fourier_loop,
+    group_checks_loop,
+    homomorphism_holds_at,
+    homomorphism_loop,
     intertwining_loop,
     invariance_support_loop,
+    inverse_by_irrep,
+    masked_zak_blocks,
     inverse_fourier_loop,
     pair_products_einsum,
     permutation_table_loop,
@@ -44,11 +53,11 @@ from zakspace.duals import (  # noqa: E402
     irreps,
     validate_dual,
 )
-from zakspace.errors import SampleSetNotClosed  # noqa: E402
+from zakspace.errors import NotAssociative, SampleSetNotClosed  # noqa: E402
 from zakspace.euclid import IsometryElement, IsometryGroupSpec, act, generate, rotation_z  # noqa: E402
 from zakspace.fixtures import random_complex  # noqa: E402
 from zakspace.actions import make_action  # noqa: E402
-from zakspace.fourier import fourier, inverse_fourier  # noqa: E402
+from zakspace.fourier import fourier, inverse, inverse_fourier  # noqa: E402
 from zakspace.groups import (  # noqa: E402
     cyclic_group,
     dihedral_group,
@@ -59,7 +68,7 @@ from zakspace.groups import (  # noqa: E402
     symmetric_group,
 )
 from zakspace.radiation import _point_permutation  # noqa: E402
-from zakspace.weil import weil_structure  # noqa: E402
+from zakspace.weil import check_cocycle_identity, weil_structure  # noqa: E402
 from zakspace.reciprocal import (  # noqa: E402
     invariance_support_residual,
     poisson_compact_check,
@@ -326,3 +335,88 @@ def permutation_sets(draw):
 def test_permutation_table_matches_loop(perms):
     got, want = outcome(permutation_table, perms), outcome(permutation_table_loop, perms)
     assert_same_outcome(got, want, np.array_equal)
+
+
+# ---------------------------------------------------------------------------
+# the checks on generators against the checks over every triple and pair
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is what is compared
+        return exc
+    return None
+
+
+def _cocycle_pair(err) -> tuple[int, int]:
+    g1, g2 = re.fullmatch(r"cocycle identity fails at \((\d+),(\d+)\)", str(err)).groups()
+    return int(g1), int(g2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(group=relabelled_groups(kinds=("cyclic", "dihedral", "S4", "product")), data=st.data())
+def test_generator_checks_reject_planted_defects_as_the_loops_do(group, data):
+    """One wrong table entry, one wrong perm row and one wrong lambda entry at
+    drawn positions: the generator checks and the loops reject each with the
+    same error type, the witness reported fails the loop's own test, and both
+    accept the input before the defect is planted."""
+    n = group.order
+    identity, inverses = group_checks_loop(group.table)
+    assert identity == group.identity and np.array_equal(inverses, group.inverses)
+
+    if n > 1:
+        table = np.array(group.table)
+        g, h = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        wrong = data.draw(st.integers(0, n - 2))
+        table[g, h] = wrong + (wrong >= table[g, h])  # any value but the right one
+        got, want = _raised(make_group, table), _raised(group_checks_loop, table)
+        assert got is not None and type(got) is type(want)
+        if isinstance(got, NotAssociative):
+            assert not associative_at(table, *got.triple)
+        else:  # NoIdentity, or NoInverse naming the same first element
+            assert str(got) == str(want)
+
+    h = data.draw(st.integers(0, n - 1))
+    m = regular_and_cosets(group, h).npoints
+    action = regular_and_cosets(group, h, data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    assert _raised(homomorphism_loop, group, action.perm) is None
+
+    perm = np.array(action.perm)
+    row = data.draw(st.integers(0, n - 1))
+    perm[row] = data.draw(st.permutations(range(m)))
+    got, want = _raised(make_action, group, perm, action.weights), _raised(homomorphism_loop, group, perm)
+    assert type(got) is type(want)
+    if n > 2 and not np.array_equal(perm[row], action.perm[row]):
+        assert got is not None  # for |G| = 2 an involution is a valid new row
+    if got is not None:
+        assert not homomorphism_holds_at(group, perm, *got.pair)
+
+    inv_perm = action.perm[group.inverses]
+    lam = np.array(weil_structure(action).cocycle.lam)
+    assert _raised(cocycle_identity_loop, group, inv_perm, lam) is _raised(check_cocycle_identity, group, inv_perm, lam) is None
+    g, x = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+    lam[g, x] *= data.draw(st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
+    got, want = _raised(check_cocycle_identity, group, inv_perm, lam), _raised(cocycle_identity_loop, group, inv_perm, lam)
+    assert isinstance(got, AssertionError) and isinstance(want, AssertionError)
+    assert not cocycle_holds_at(group, inv_perm, lam, *_cocycle_pair(got))
+
+
+# ---------------------------------------------------------------------------
+# the inverse core against the (irreps, points) body it replaced
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn=relabelled_actions(), data=st.data())
+def test_inverse_is_the_irrep_body_summed_bitwise(drawn, data):
+    action, seed = drawn
+    dual = irreps(action.group)
+    coeffs = zak(action, random_complex(np.random.default_rng(seed), action.npoints), dual)
+    decomp = coeffs.structure.decomp
+    blocks = masked_zak_blocks(coeffs)
+    want = inverse_by_irrep(blocks, decomp.orbit_id, decomp.to_rep_element, dual)
+    assert zak_inverse(coeffs).tobytes() == want.tobytes()
+    # any rows and elements, unsorted and repeated
+    rows = np.array(data.draw(st.lists(st.integers(0, len(decomp.representatives) - 1), min_size=1, max_size=30)))
+    elements = np.array(data.draw(st.lists(st.integers(0, action.group.order - 1), min_size=len(rows), max_size=len(rows))))
+    assert inverse(blocks, rows, elements, dual).tobytes() == inverse_by_irrep(blocks, rows, elements, dual).tobytes()

@@ -46,6 +46,9 @@ from .errors import ConfigError, ZakspaceError
 from .fixtures import group_by_name, random_complex
 from .groups import FiniteGroup
 from .serialize import (
+    _integer,
+    _positive,
+    _typed,
     action_from_dict,
     decode_vector,
     encode_vector,
@@ -298,22 +301,21 @@ def _cmd_bands_check(args) -> int:
 def _euclid_spec(doc) -> euclid.IsometryGroupSpec:
     if not isinstance(doc, dict) or "dim" not in doc or "generators" not in doc:
         raise ConfigError("isometry spec needs 'dim' and 'generators'")
-    tr_doc = doc.get("truncation", {})
+    tr_doc = _typed(doc.get("truncation", {}), dict, "truncation")
     try:
         gens = [
             euclid.IsometryElement(np.asarray(g["Q"], dtype=float), np.asarray(g["c"], dtype=float))
             for g in doc["generators"]
         ]
-        tr = euclid.Truncation(
-            word_length=int(tr_doc.get("word_length", 24)),
-            radius=float(tr_doc.get("radius", 50.0)),
-            max_elements=int(tr_doc.get("max_elements", 20000)),
-            tol=float(tr_doc.get("tol", 1e-9)),
-        )
-        dim = int(doc["dim"])
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"malformed isometry spec: {err!r}") from err
-    return euclid.IsometryGroupSpec(dim, gens, tr)
+    tr = euclid.Truncation(
+        word_length=_integer(tr_doc.get("word_length", 24), "word_length", 0),
+        radius=_positive(tr_doc.get("radius", 50.0), "radius"),
+        max_elements=_integer(tr_doc.get("max_elements", 20000), "max_elements", 0),
+        tol=_positive(tr_doc.get("tol", 1e-9), "tol"),
+    )
+    return euclid.IsometryGroupSpec(_integer(doc["dim"], "dim", 1), gens, tr)
 
 
 def _cmd_euclid_generate(args) -> int:

@@ -14,12 +14,21 @@ A set of isometries is held as stacked arrays q (n, d, d) and c (n, d),
 row i being (q[i] | c[i]); closure, certificate and torus folding work on
 the stacks.  IsometryElement is one isometry at the boundary (generators,
 CLI documents, public element lists), validated once by its constructor.
+
+Every identification goes through one sorted index, _SortedKeys: a row is
+keyed by the projection of its flattened (Q, c) on a fixed unit vector
+(on a torus, once per superlattice offset of c), and a lookup takes the
+keys within the tolerance of the candidate's key, widened by a bound on
+the rounding.  By Cauchy-Schwarz that window holds every pair within the
+tolerance, and the exact norm tests decide on the pairs in it only.
+Candidates are kept in order: one is dropped when it matches a row or a
+candidate kept before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -85,10 +94,10 @@ def _as_elements(q: np.ndarray, c: np.ndarray) -> list:
 
 
 def _first(mask: np.ndarray) -> np.ndarray:
-    """Index of the first True along the last axis, or -1 where there is none."""
+    """Index of the first True along the last axis, or the axis length where there is none."""
     if mask.shape[-1] == 0:
-        return np.full(mask.shape[:-1], -1)
-    return np.where(mask.any(axis=-1), np.argmax(mask, axis=-1), -1)
+        return np.zeros(mask.shape[:-1], dtype=np.intp)
+    return np.where(mask.any(axis=-1), np.argmax(mask, axis=-1), mask.shape[-1])
 
 
 def _first_true(mask: np.ndarray) -> int:
@@ -219,40 +228,101 @@ class GeneratedGroup:
         return _as_elements(self.q, self.c)
 
 
-def _close_pairs(rows: np.ndarray, cands: np.ndarray, tol: float):
-    """All (k, r) with norm(rows[r] - cands[k]) < tol, rows and candidates flattened.
+EPS = np.finfo(float).eps
 
-    A pair within tol in norm is within tol in every coordinate, so each
-    block of candidates is narrowed one coordinate at a time, last
-    coordinate first, and the norm is taken on the survivors only.
+
+@cache
+def _unit(m: int) -> np.ndarray:
+    """The square roots of the first m primes, scaled to norm 1 (read-only)."""
+    primes = [p for p in range(2, 4 * m * m + 4) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    u = np.sqrt(np.array(primes[:m], dtype=float))
+    u /= np.linalg.norm(u)
+    u.flags.writeable = False
+    return u
+
+
+def _entry_bound(x: np.ndarray) -> float:
+    """Largest finite |entry| of x, or 0."""
+    return float(np.max(np.abs(x), where=np.isfinite(x), initial=0.0))
+
+
+class _SortedKeys:
+    """Rows keyed by their projection on one fixed unit vector u, in key order.
+
+    With shifts, row r gets one key u.(row[r] - shift[s]) per shift s.  The
+    components of u are square roots of distinct primes, scaled to norm 1,
+    so distinct lattice-like rows rarely share a key.  By Cauchy-Schwarz
+    |u.x - u.y| <= |x - y|, so a candidate within `reach` of a shifted row
+    has its key within `reach` of that row's key.  `window` widens this by
+    16 m eps (b + reach), where b = sqrt(m) max|entry| bounds the norm of
+    every keyed vector and candidate in R^m: the rounding of the keys, of
+    the window ends and of the callers' exact norm tests stays below a
+    quarter of that.  The callers decide on the pairs in the window with
+    those exact tests.
     """
-    step = max(1, (1 << 18) // max(len(rows), 1))
-    ks, rs = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for lo in range(0, len(cands), step):
-        block = cands[lo : lo + step]
-        k, r = np.nonzero(np.abs(rows[None, :, -1] - block[:, None, -1]) < tol)
-        for col in range(cands.shape[1] - 1):
-            keep = np.abs(rows[r, col] - block[k, col]) < tol
-            k, r = k[keep], r[keep]
-        keep = np.linalg.norm(rows[r] - block[k], axis=1) < tol
-        ks.append(k[keep] + lo)
-        rs.append(r[keep])
-    return np.concatenate(ks), np.concatenate(rs)
+
+    def __init__(self, rows: np.ndarray, shifts: np.ndarray | None = None):
+        m = rows.shape[1]
+        self.unit = _unit(m)
+        self.nshift = 1 if shifts is None else len(shifts)
+        vecs = rows if shifts is None else (rows[:, None, :] - shifts).reshape(-1, m)
+        keys = vecs @ self.unit
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.bound = _entry_bound(vecs)
+
+    def window(self, cands: np.ndarray, reach: float):
+        """(k, r, s): each candidate k with each row r and shift s whose key lies in its window."""
+        if not reach > 0:  # tol <= 0 or NaN identifies nothing; no negative count reaches np.repeat
+            none = np.empty(0, dtype=np.intp)
+            return none, none, none
+        m = cands.shape[1]
+        keys = cands @ self.unit
+        half = reach + 16 * m * EPS * (np.sqrt(m) * max(self.bound, _entry_bound(cands)) + reach)
+        lo = np.searchsorted(self.keys, keys - half, "left")
+        counts = np.searchsorted(self.keys, keys + half, "right") - lo
+        k = np.repeat(np.arange(len(cands)), counts)
+        slot = self.order[np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts - lo, counts)]
+        return (k, *np.divmod(slot, self.nshift))
+
+
+def _keep_in_order(known: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """kept[k]: not known[k], and no kept j with 0 <= j < k paired with k.
+
+    Settled in rounds; each round settles at least the first open candidate,
+    whose earlier partners are all settled, so chains of any length resolve
+    as the one-by-one rule would.
+    """
+    earlier = (0 <= j) & (j < k)
+    j, k = j[earlier], k[earlier]
+    state = (~known).astype(np.int8)  # 1 kept, 0 dropped, -1 open
+    open_ = np.zeros(len(known), dtype=bool)
+    open_[k] = True
+    open_ &= ~known
+    state[open_] = -1
+    while open_.any():
+        live = open_[k]
+        j, k = j[live], k[live]
+        partner = state[j]
+        state[k[partner == 1]] = 0
+        waiting = np.zeros(len(known), dtype=bool)
+        waiting[k[partner == -1]] = True
+        open_ = state == -1
+        state[open_ & ~waiting] = 1
+        open_ &= waiting
+    return state == 1
 
 
 def _accept(rows: np.ndarray, cands: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the candidates kept in order: a candidate is dropped when it
     lies within tol of a row or of a candidate kept before it."""
+    both = np.concatenate([rows, cands])
+    k, r, _ = _SortedKeys(both).window(cands, tol)
+    close = np.linalg.norm(both[r] - cands[k], axis=1) < tol
+    k, j = k[close], r[close] - len(rows)
     known = np.zeros(len(cands), dtype=bool)
-    known[_close_pairs(rows, cands, tol)[0]] = True
-    earlier = [[] for _ in range(len(cands))]
-    for k, j in zip(*(a.tolist() for a in _close_pairs(cands, cands, tol))):
-        if j < k:
-            earlier[k].append(j)
-    kept = np.zeros(len(cands), dtype=bool)
-    for k in range(len(cands)):
-        kept[k] = not known[k] and not any(kept[j] for j in earlier[k])
-    return np.flatnonzero(kept)
+    known[k[j < 0]] = True
+    return np.flatnonzero(_keep_in_order(known, j, k))
 
 
 def _split(rows: np.ndarray, d: int):
@@ -462,10 +532,16 @@ class _TorusReducer:
         coords = (self.pinv @ vecs[..., None])[..., 0]
         return vecs - (self.basis @ np.round(coords)[..., None])[..., 0]
 
-    def same(self, rows: np.ndarray, vecs: np.ndarray, tol: float) -> np.ndarray:
-        """same[..., r]: rows[r] - vec lies within tol of a superlattice offset."""
-        delta = rows - vecs[..., None, :]
-        return np.any(_norms(delta[..., None, :] - self.offsets) < tol, axis=-1)
+    def shifts(self, lead: int) -> np.ndarray | None:
+        """The offsets as key shifts of rows whose last dim entries are the vector
+        and whose first `lead` entries are not shifted; None without folding."""
+        if self.basis is None:
+            return None
+        return np.concatenate([np.zeros((len(self.offsets), lead)), self.offsets], axis=1)
+
+    def same(self, rows: np.ndarray, vecs: np.ndarray, tol: float, s: np.ndarray) -> np.ndarray:
+        """Per pair: rows - vecs lies within tol of superlattice offset s."""
+        return _norms((rows - vecs) - self.offsets[s]) < tol
 
 
 def _translation_basis(vecs: np.ndarray, dim: int, tol: float) -> np.ndarray | None:
@@ -482,14 +558,14 @@ def _translation_basis(vecs: np.ndarray, dim: int, tol: float) -> np.ndarray | N
     return np.column_stack(basis) if basis else None
 
 
-CANON_CHUNK = 64  # generated elements matched against the quotient rows per comparison
-
-
 class _QuotientElements:
     """Isometries (Q, c mod the superlattice) as stacked arrays.
 
-    `find` compares candidates with every row at once: Q within tol in
-    Frobenius norm and c within tol of a superlattice translate.
+    A candidate matches a row when Q lies within tol in Frobenius norm and
+    c within tol of a superlattice translate.  Both together put the
+    flattened (Q, c) within sqrt(2) tol of the row shifted by that
+    translate, so every lookup asks a _SortedKeys of the rows for that
+    window and runs the two norm tests on the pairs in it.
     """
 
     def __init__(self, reducer: _TorusReducer, tol: float, q: np.ndarray, c: np.ndarray):
@@ -497,50 +573,116 @@ class _QuotientElements:
         self.tol = tol
         self.q = q
         self.c = c
+        self._keys = None
 
     def __len__(self) -> int:
         return len(self.q)
 
-    def find(self, q: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """First matching row of each candidate (stacked like c), or -1."""
-        qdiff = self.q - q[..., None, :, :]
-        qdist = _norms(qdiff.reshape(*qdiff.shape[:-2], q.shape[-1] ** 2))
-        return _first((qdist < self.tol) & self.reducer.same(self.c, c, self.tol))
+    def _pairs(self, keys, q, c, row_q, row_c):
+        """(k, r): candidate k matches row r, for the rows keyed in `keys`."""
+        d = c.shape[1]
+        k, r, s = keys.window(_flat(q, c), np.sqrt(2.0) * self.tol)
+        qdiff = row_q[r] - q[k]
+        ok = (_norms(qdiff.reshape(len(k), d * d)) < self.tol) & self.reducer.same(row_c[r], c[k], self.tol, s)
+        return k[ok], r[ok]
 
-    def products(self, i: int):
-        """Row i times every row, c reduced, and the first product that is not an isometry."""
-        q = self.q[i] @ self.q
-        c = (self.q[i] @ self.c[..., None])[..., 0] + self.c[i]
-        return q, self.reducer.reduce(c), _first_true(_isometry_defects(q, c))
+    def _index(self, q, c) -> _SortedKeys:
+        return _SortedKeys(_flat(q, c), self.reducer.shifts(q.shape[-1] ** 2))
+
+    def find(self, q: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """First matching row of each candidate, stacked (..., d, d) and (..., d), or -1."""
+        if self._keys is None:
+            self._keys = self._index(self.q, self.c)
+        d = c.shape[-1]
+        flat_q, flat_c = q.reshape(-1, d, d), c.reshape(-1, d)
+        k, r = self._pairs(self._keys, flat_q, flat_c, self.q, self.c)
+        return _least(k, r, len(flat_c), len(self)).reshape(c.shape[:-1])
+
+    def products(self, rows: slice):
+        """Each row in `rows` times every row, c reduced, and per row in `rows`
+        the first product that is not an isometry (len(self) if none)."""
+        q = self.q[rows, None] @ self.q
+        c = (self.q[rows, None] @ self.c[..., None])[..., 0] + self.c[rows, None]
+        return q, self.reducer.reduce(c), _first(_isometry_defects(q, c))
 
     def extend(self, q: np.ndarray, c: np.ndarray, cap: int, stop: int | None = None) -> bool:
         """Append, in order, each of the first `stop` candidates that matches no row
         (rows appended before it included); TruncationExceeded past `cap` rows."""
-        added = False
-        for j in np.flatnonzero(self.find(q[:stop], c[:stop]) < 0):
-            if self.find(q[j], c[j]) < 0:
-                self.q = np.concatenate([self.q, q[j][None]])
-                self.c = np.concatenate([self.c, c[j][None]])
-                added = True
-                if len(self) > cap:
-                    raise TruncationExceeded(_as_elements(self.q, self.c))
-        return added
+        new = np.flatnonzero(self.find(q[:stop], c[:stop]) < 0)
+        if not len(new):
+            return False
+        q, c = q[new], c[new]
+        k, j = self._pairs(self._index(q, c), q, c, q, c)
+        kept = np.flatnonzero(_keep_in_order(np.zeros(len(new), dtype=bool), j, k))
+        if len(self) + len(kept) > cap:
+            kept = kept[: max(cap + 1 - len(self), 1)]  # the cap is checked after each append
+        self.q = np.concatenate([self.q, q[kept]])
+        self.c = np.concatenate([self.c, c[kept]])
+        self._keys = None
+        if len(self) > cap:
+            raise TruncationExceeded(_as_elements(self.q, self.c))
+        return True
+
+
+def _flat(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Stacked (Q, c) as rows of Q's entries followed by c."""
+    return np.concatenate([q.reshape(len(q), c.shape[1] ** 2), c], axis=1)
+
+
+def _least(k: np.ndarray, r: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """Per candidate 0..n-1 the least r paired with it, or -1."""
+    first = np.full(n, rows, dtype=np.intp)
+    np.minimum.at(first, k, r)
+    return np.where(first < rows, first, -1)
 
 
 def _product_table(model: _QuotientElements, not_closed: str) -> np.ndarray:
-    """Composition table of the rows; NotClosable(not_closed.format(i, j)) at the
-    first product that matches no row."""
+    """Composition table of the rows, found in one lookup; NotClosable(not_closed.format(i, j))
+    at the first product, row by row, that matches no row."""
     n = len(model)
-    table = np.empty((n, n), dtype=int)
-    for i in range(n):
-        q, c, bad = model.products(i)
-        table[i] = model.find(q, c)
-        missing = _first_true(table[i] < 0)
-        if bad < n and bad <= missing:
-            raise DimensionMismatch(NOT_ISOMETRY)
-        if missing < n:
-            raise NotClosable(not_closed.format(i, missing))
+    q, c, bad = model.products(slice(None))
+    table = model.find(q, c)
+    missing = _first(table < 0)
+    broken = (bad < n) & (bad <= missing)
+    i = _first_true(broken | (missing < n))
+    if i < n and broken[i]:
+        raise DimensionMismatch(NOT_ISOMETRY)
+    if i < n:
+        raise NotClosable(not_closed.format(i, missing[i]))
     return table
+
+
+def _close(model: _QuotientElements, cap: int) -> None:
+    """Extend the rows by their products until a pass adds nothing.
+
+    A pass takes the rows present at its start in order and extends in
+    each one's products with every current row, the first non-isometry
+    raising DimensionMismatch.  The products of all rows still to come are
+    looked up at once; only a row with a new product or a non-isometry is
+    extended, so a closed set costs one lookup.
+    """
+    changed = True
+    while changed:
+        changed = False
+        end, i = len(model), 0
+        while i < end:
+            q, c, bad = model.products(slice(i, end))
+            n = len(model)
+            fresh = (model.find(q, c) < 0) & (np.arange(n) < bad[:, None])
+            step = _first_true((bad < n) | fresh.any(axis=1))
+            if step == end - i:
+                break
+            changed = model.extend(q[step], c[step], cap, bad[step]) or changed
+            if bad[step] < n:
+                raise DimensionMismatch(NOT_ISOMETRY)
+            i += step + 1
+
+
+def _point_pairs(reducer: _TorusReducer, rows: np.ndarray, vecs: np.ndarray, tol: float):
+    """(k, r): vecs[k] lies within tol of rows[r] modulo the superlattice."""
+    k, r, s = _SortedKeys(rows, reducer.shifts(0)).window(vecs, tol)
+    ok = reducer.same(rows[r], vecs[k], tol, s)
+    return k[ok], r[ok]
 
 
 def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: float = 1e-9) -> FiniteActionModel:
@@ -550,8 +692,14 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
     translation lattice (scaled by the periods) is divided out, so both
     elements and points live on a torus; NotClosable is raised when the
     rotation parts do not preserve that lattice or an orbit fails to
-    close under the identification.  Each lookup compares its candidates
-    with all rows, over all superlattice offsets, in one array operation.
+    close under the identification.  Elements match when their Q parts lie
+    within tol and their c parts within tol of a superlattice translate,
+    which puts them within sqrt(2) tol once c is shifted by that translate;
+    points match when they lie within tol of a translate.  Each lookup
+    keys the rows once per superlattice offset in a _SortedKeys and runs
+    the exact norm tests on the pairs inside that window only: one lookup
+    for the products of a closure pass, one for the group table, one for
+    the seed orbits and one for the permutations.
     """
     gen = generate(spec)
     reducer = _TorusReducer(None)
@@ -582,16 +730,8 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
         cap = spec.truncation.max_elements
         reduced = reducer.reduce(c)
         canon = _QuotientElements(reducer, tol, q[:0], c[:0])
-        for lo in range(0, len(q), CANON_CHUNK):
-            canon.extend(q[lo : lo + CANON_CHUNK], reduced[lo : lo + CANON_CHUNK], cap)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(canon)):
-                prod_q, prod_c, bad = canon.products(i)
-                changed = canon.extend(prod_q, prod_c, cap, bad) or changed
-                if bad < len(prod_q):
-                    raise DimensionMismatch(NOT_ISOMETRY)
+        canon.extend(q, reduced, cap)
+        _close(canon, cap)
         q, c = canon.q, canon.c
 
     # group table by composing and matching
@@ -602,18 +742,15 @@ def to_finite_action(spec: IsometryGroupSpec, seed_points, periods=None, tol: fl
     seeds = np.atleast_2d(np.asarray(seed_points, dtype=float))
     if seeds.shape[-1] != spec.dim:
         raise DimensionMismatch(f"point of dimension {seeds.shape[-1]} under {spec.dim}-d isometry")
-    points = np.empty((0, spec.dim))
-    for seed in seeds:
-        for image in reducer.reduce(seed @ np.swapaxes(q, 1, 2) + c):
-            if _first(reducer.same(points, image, tol)) < 0:
-                points = np.concatenate([points, image[None]])
-    perm = np.empty((len(q), len(points)), dtype=int)
-    for i in range(len(q)):
-        images = reducer.reduce((points[:, None, :] @ q[i].T)[:, 0] + c[i])
-        perm[i] = _first(reducer.same(points, images, tol))
-        escaped = _first_true(perm[i] < 0)
-        if escaped < len(points):
-            raise NotClosable(f"orbit point {points[escaped]} escapes under element {i}")
+    qt = np.swapaxes(q, 1, 2)
+    images = reducer.reduce((seeds[:, None, None, :] @ qt)[:, :, 0] + c).reshape(-1, spec.dim)
+    k, j = _point_pairs(reducer, images, images, tol)
+    points = images[_keep_in_order(np.zeros(len(images), dtype=bool), j, k)]
+    images = reducer.reduce((points[None, :, None, :] @ qt[:, None])[:, :, 0] + c[:, None]).reshape(-1, spec.dim)
+    perm = _least(*_point_pairs(reducer, points, images, tol), len(images), len(points)).reshape(len(q), len(points))
+    i = _first_true((perm < 0).any(axis=1))
+    if i < len(q):
+        raise NotClosable(f"orbit point {points[_first_true(perm[i] < 0)]} escapes under element {i}")
     action = make_action(group, perm)
     return FiniteActionModel(group, action, points, _as_elements(q, c))
 

@@ -73,22 +73,22 @@ def classic_zak(samples, cells) -> LatticeZakGrid:
 
 
 def classic_zak_direct(samples, cells) -> np.ndarray:
-    """Brute-force reference: explicit O(N^2) evaluation of the defining sum."""
+    """Brute-force reference: the defining sum, O(N^2), with no FFT.
+
+    Each orbit index n, in np.ndindex order, adds its term for every cell
+    offset x0 and wave index j at once.
+    """
     samples = np.asarray(samples, dtype=complex)
     d = samples.ndim
     cells = tuple(int(m) for m in (cells if np.iterable(cells) else [cells] * d))
     periods = tuple(samples.shape[a] // cells[a] for a in range(d))
+    x0, j = np.indices(cells), np.indices(periods)
+    over_j = (...,) + (None,) * d
     out = np.zeros(cells + periods, dtype=complex)
-    for x0 in np.ndindex(*cells):
-        for j in np.ndindex(*periods):
-            acc = 0.0 + 0.0j
-            for n in np.ndindex(*periods):
-                src = tuple(
-                    (x0[a] - n[a] * cells[a]) % samples.shape[a] for a in range(d)
-                )
-                phase = sum(j[a] * n[a] / periods[a] for a in range(d))
-                acc += samples[src] * np.exp(-2j * np.pi * phase)
-            out[x0 + j] = acc
+    for n in np.ndindex(*periods):
+        src = tuple((x0[a] - n[a] * cells[a]) % samples.shape[a] for a in range(d))
+        phase = sum(j[a] * n[a] / periods[a] for a in range(d))
+        out += samples[src][over_j] * np.exp(-2j * np.pi * phase)
     return out
 
 

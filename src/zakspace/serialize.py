@@ -81,12 +81,19 @@ def _fields(doc, keys, what: str) -> list:
 
 def _integer(value, what: str, least: int) -> int:
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < least:
         raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
     return n
+
+
+def _positive(value, what: str) -> float:
+    """value as a float, if it is a finite number > 0 (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _built(make, what: str, *args, **kwargs):

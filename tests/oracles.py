@@ -3,11 +3,11 @@
 Each function here is the element-by-element loop that the library ran
 before it was batched: one Bloch block and one eigvalsh per wave index,
 one nearest-point search per sample point, a sequential breadth-first
-closure that matches every candidate against every element found so far,
-the scan lookups of the torus folding, the group table checks over every
+closure that matches every candidate against every element found so far
+(and its keep rule on one layer of candidates), the scan lookups of the torus folding, the group table checks over every
 triple, the pair-by-pair homomorphism and cocycle checks, the orbit scan, the per-block finite Zak transforms, the
 per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
-bloch), the group-Fourier inverse as one (irreps, points) array, the unfolding loop of the lattice inverse, the dense-matrix
+bloch), the group-Fourier inverse as one (irreps, points) array, the defining sum and the unfolding loop of the lattice transform, the dense-matrix
 invariance check, the group average over shuffled copies of a matrix, the
 pairwise homomorphism and character checks of a dual, the per-element
 Kronecker products of the product catalog and the pair-by-pair composition
@@ -115,6 +115,18 @@ class _ElementIndex:
 
     def add(self, e: IsometryElement) -> None:
         self.rows = np.vstack([self.rows, e.flat()[None, :]])
+
+
+def accept_loop(rows: np.ndarray, cands: np.ndarray, tol: float) -> list:
+    """Indices of the candidates kept one by one: a candidate is dropped when it
+    lies within tol of a row or of a candidate kept before it."""
+    index = np.array(rows, dtype=float).reshape(-1, cands.shape[1])
+    kept = []
+    for k, x in enumerate(cands):
+        if not (np.linalg.norm(index - x[None, :], axis=1) < tol).any():
+            index = np.vstack([index, x[None, :]])
+            kept.append(k)
+    return kept
 
 
 def generate_sequential(spec) -> GeneratedGroup:
@@ -817,3 +829,23 @@ def classic_zak_inverse_loop(grid) -> np.ndarray:
             )
             samples[dest] = orbit[x0 + n]
     return samples
+
+
+def classic_zak_direct_loop(samples, cells) -> np.ndarray:
+    """The defining sum of the classic Zak transform, one (x0, j, n) term at a time."""
+    samples = np.asarray(samples, dtype=complex)
+    d = samples.ndim
+    cells = tuple(int(m) for m in (cells if np.iterable(cells) else [cells] * d))
+    periods = tuple(samples.shape[a] // cells[a] for a in range(d))
+    out = np.zeros(cells + periods, dtype=complex)
+    for x0 in np.ndindex(*cells):
+        for j in np.ndindex(*periods):
+            acc = 0.0 + 0.0j
+            for n in np.ndindex(*periods):
+                src = tuple(
+                    (x0[a] - n[a] * cells[a]) % samples.shape[a] for a in range(d)
+                )
+                phase = sum(j[a] * n[a] / periods[a] for a in range(d))
+                acc += samples[src] * np.exp(-2j * np.pi * phase)
+            out[x0 + j] = acc
+    return out

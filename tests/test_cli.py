@@ -457,6 +457,15 @@ def lattice_doc(**changes):
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": 7}),
         ("group inspect", {**action_to_dict(z2_fixed_point()), "perm": [0, 1]}),
         ("diffract verify", {**diffract_doc(), "group": {"dim": 2, "generators": [{"Q": [[0.0, -1.0], [1.0, 0.0]], "c": [0.0, 0.0]}]}}),
+        ("euclid generate", {"dim": 2.9, "generators": [{"Q": [[0.0, -1.0], [1.0, 0.0]], "c": [0.0, 0.0]}]}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"word_length": 6.7}}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"word_length": "6"}}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"word_length": True}}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"max_elements": 100.5}}),
+        ("euclid certify", {**c4_group_doc(), "truncation": {"radius": float("nan")}}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"tol": float("nan")}}),
+        ("euclid generate", {**c4_group_doc(), "truncation": {"tol": -1e-9}}),
+        ("group inspect", {"table": [[0]], "perm": [[0]], "order": True}),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):

@@ -331,12 +331,39 @@ def d6_spec():
     )
 
 
+def lattice_spec(point_ops, basis, word_length=8, radius=4.0):
+    """A wallpaper group from point operations (Q, c) and the lattice basis columns."""
+    gens = [IsometryElement(q, c) for q, c in point_ops]
+    gens += [translation(v) for v in np.asarray(basis, dtype=float).T]
+    return IsometryGroupSpec(2, gens, Truncation(word_length=word_length, radius=radius, max_elements=8000))
+
+
+HEX = np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
+
+
+def wallpaper_specs():
+    """p2, p6 on a hexagonal basis, the glide group pg and p4 in a rotated frame."""
+    r = rotation_2d(0.4)
+    return {
+        "p2": lattice_spec([(-np.eye(2), [0.0, 0.0])], np.eye(2)),
+        "p6": lattice_spec([(rotation_2d(np.pi / 3), [0.0, 0.0])], HEX, word_length=6, radius=3.0),
+        "pg": IsometryGroupSpec(
+            2,
+            [IsometryElement(np.diag([1.0, -1.0]), [0.5, 0.0]), translation([0.0, 1.0])],
+            Truncation(word_length=10, radius=4.0, max_elements=8000),
+        ),
+        "p4_rotated": lattice_spec([(rotation_2d(np.pi / 2), [0.0, 0.0])], r),
+        "screw_3d": IsometryGroupSpec(3, [screw(np.pi / 2, 0.25)], Truncation(word_length=20, radius=4.0)),
+    }
+
+
 def oracle_specs():
     from zakspace.fixtures import certificate_specs
 
     specs = {"p4": p4_spec(), "d6": d6_spec()}
     specs.update({f"pm_{a}": rotated_pm_spec(a) for a in (0.0, 0.7, 2.1)})
     specs.update(certificate_specs())
+    specs.update(wallpaper_specs())
     return specs
 
 
@@ -386,11 +413,44 @@ def test_to_finite_action_matches_scan_oracle(periods, seeds):
     assert np.array_equal(model.points, points)
 
 
+@pytest.mark.parametrize(
+    "name, periods, seeds",
+    [
+        ("p2", [2, 3], [[0.21, 0.33]]),
+        ("p6", [1, 1], [[0.21, 0.33], [0.0, 0.0]]),
+        ("pg", [2, 2], [[0.21, 0.33]]),
+        ("pg", [3, 3], [[0.21, 0.33]]),
+        ("p4_rotated", [2, 2], [[0.21, 0.33]]),
+        ("p4_rotated", [2, 3], [[0.21, 0.33]]),
+        ("screw_3d", [2], [[0.3, 0.1, 0.05], [0.0, 0.0, 0.2]]),
+    ],
+)
+def test_to_finite_action_matches_scan_oracle_on_other_groups(name, periods, seeds):
+    from oracles import to_finite_action_scan
+
+    spec = wallpaper_specs()[name]
+    try:
+        model = to_finite_action(spec, seeds, periods=periods)
+    except NotClosable:
+        with pytest.raises(NotClosable):
+            to_finite_action_scan(spec, seeds, periods=periods)
+        assert (name, periods) == ("p4_rotated", [2, 3])  # a quarter turn does not keep a 2x3 torus
+        return
+    elements, table, perm, points = to_finite_action_scan(spec, seeds, periods=periods)
+    assert_same_elements(model.elements, elements)
+    assert np.array_equal(model.group.table, table)
+    assert np.array_equal(model.action.perm, perm)
+    assert np.array_equal(model.points, points)
+
+
 def test_isometry_finite_group_matches_scan_oracle():
     from oracles import isometry_table_scan
+    from zakspace.fixtures import c4_scatterer
 
-    elements = generate(d6_spec()).elements
-    assert np.array_equal(isometry_finite_group(elements).table, isometry_table_scan(elements))
+    cycle_4d = np.eye(4)[[1, 2, 3, 0]]  # any dimension: the 4-cycle of the axes of R^4
+    c4_in_4d = [IsometryElement(np.linalg.matrix_power(cycle_4d, k), np.zeros(4)) for k in range(4)]
+    for elements in (generate(d6_spec()).elements, c4_scatterer(np.random.default_rng(0))[0], c4_in_4d):
+        assert np.array_equal(isometry_finite_group(elements).table, isometry_table_scan(elements))
 
 
 @pytest.mark.parametrize(
@@ -466,3 +526,117 @@ def test_generated_group_stacks_are_read_only_and_match_elements():
     assert np.array([e.q for e in gen.elements]).tobytes() == gen.q.tobytes()
     assert np.array([e.c for e in gen.elements]).tobytes() == gen.c.tobytes()
     assert gen.elements is gen.elements  # built once, on first read
+
+
+# ---------------------------------------------------------------------------
+# the sorted index: its window holds every pair within tol, at the boundary too
+
+
+def planted_cloud(rng, tol, m, n=40, scale=50.0):
+    """Rows and candidates in R^m with norms up to `scale`, some candidates planted
+    at 0, 0.5, 1 - 1e-7, 1 and 1 + 1e-7 times tol from a row.  Half of them lie
+    along the index's key direction, where only the rounding of the keys decides
+    whether a pair within tol falls inside the window."""
+    from zakspace.euclid import _SortedKeys
+
+    unit = _SortedKeys(np.zeros((1, m))).unit
+    rows = rng.uniform(-scale, scale, size=(n, m)) / np.sqrt(m)
+    cands = [rng.uniform(-scale, scale, size=(n, m)) / np.sqrt(m)]
+    for factor in (0.0, 0.5, 1 - 1e-7, 1.0, 1 + 1e-7):
+        v = rng.normal(size=(n // 2, m))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[::2] = unit * rng.choice([-1.0, 1.0], size=(n // 4, 1))
+        cands.append(rows[rng.integers(0, n, size=n // 2)] + factor * tol * v)
+    cands = np.concatenate(cands)
+    return rows, cands[rng.permutation(len(cands))]
+
+
+def all_pairs(rows, cands, tol):
+    """Sorted (k, r) with np.linalg.norm(rows[r] - cands[k]) < tol, by a scan of every pair."""
+    k, r = np.divmod(np.arange(len(cands) * len(rows)), len(rows))
+    close = np.linalg.norm(rows[r] - cands[k], axis=1) < tol
+    return k[close], r[close]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("m", [2, 6, 12])
+def test_window_holds_every_pair_within_tol(tol, m):
+    from oracles import accept_loop
+    from zakspace.euclid import _accept, _SortedKeys
+
+    rng = np.random.default_rng(m + int(1e4 * tol))
+    rows, cands = planted_cloud(rng, tol, m)
+    k, r, s = _SortedKeys(rows).window(cands, tol)
+    assert not s.any()
+    close = np.linalg.norm(rows[r] - cands[k], axis=1) < tol
+    got = sorted(zip(k[close].tolist(), r[close].tolist()))
+    expected = sorted(zip(*(a.tolist() for a in all_pairs(rows, cands, tol))))
+    assert got == expected
+    assert len(expected) >= 2 * (40 // 2)  # the planted pairs at 0 and 0.5 times tol at least
+    assert _accept(rows, cands, tol).tolist() == accept_loop(rows, cands, tol)
+    assert _accept(rows[:0], cands, tol).tolist() == accept_loop(rows[:0], cands, tol)
+
+
+def test_torus_lookups_match_a_scan_over_every_offset():
+    from zakspace.euclid import _norms, _point_pairs, _QuotientElements, _TorusReducer
+
+    rng = np.random.default_rng(3)
+    tol = 1e-6
+    reducer = _TorusReducer(np.array([[2.0, 1.0], [0.0, 3.0]]))
+    rows, cands = planted_cloud(rng, tol, 2, scale=2.0)
+    cands = np.concatenate([cands, rows[:10] + reducer.offsets[rng.integers(0, 9, size=10)]])
+    k, r = _point_pairs(reducer, rows, cands, tol)
+    delta = rows[None, :, None, :] - cands[:, None, None, :] - reducer.offsets
+    hit = (_norms(delta) < tol).any(axis=2)
+    assert sorted(zip(k.tolist(), r.tolist())) == sorted(zip(*(a.tolist() for a in np.nonzero(hit))))
+
+    q = np.array([rotation_2d(a) for a in rng.choice([0.0, np.pi / 2, np.pi], size=len(rows))])
+    model = _QuotientElements(reducer, tol, q, rows)
+    cand_q = q[np.arange(len(cands)) % len(rows)]
+    qclose = _norms((q[None] - cand_q[:, None]).reshape(len(cands), len(rows), 4)) < tol
+    first = [int(np.flatnonzero(row)[0]) if row.any() else -1 for row in qclose & hit]
+    assert model.find(cand_q, cands).tolist() == first
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, -1.0, float("nan")])
+def test_tol_not_positive_identifies_nothing(tol):
+    from oracles import accept_loop, generate_sequential, to_finite_action_scan
+    from zakspace.euclid import _accept, _SortedKeys
+
+    rows = np.zeros((3, 6))
+    k, r, s = _SortedKeys(rows).window(rows, tol)  # np.repeat rejects negative counts
+    assert len(k) == len(r) == len(s) == 0
+    assert _accept(rows, rows, tol).tolist() == accept_loop(rows, rows, tol) == [0, 1, 2]
+
+    spec = p4_spec(word_length=4, radius=3.0)
+    spec.truncation.tol, spec.truncation.max_elements = tol, 30
+    with pytest.raises(TruncationExceeded) as got:
+        generate(spec)
+    with pytest.raises(TruncationExceeded) as expected:
+        generate_sequential(spec)
+    assert_same_elements(got.value.partial, expected.value.partial)
+
+    with pytest.raises(NotClosable) as got:
+        to_finite_action(c6_spec(), [[1.0, 0.2]], tol=tol)
+    with pytest.raises(NotClosable) as expected:
+        to_finite_action_scan(c6_spec(), [[1.0, 0.2]], tol=tol)
+    assert str(got.value) == str(expected.value)
+
+
+def test_chain_in_one_layer_keeps_both_ends_like_the_oracle():
+    # layer 2 holds (1, 1) + e, (1, 1) - e and (1, 1) - 3e with |2e| = 0.6 tol:
+    # the middle one is dropped, and the last is kept because it is close only to it
+    from oracles import generate_sequential
+
+    tol = 1e-3
+    e = np.array([0.3 * tol, 0.0])
+    steps = [([1.0, 0.0] + e, [0.0, 1.0]), ([2.0, 0.0], [-1.0, 1.0] - e), ([3.0, 0.0], [-2.0, 1.0] - 3 * e)]
+    spec = IsometryGroupSpec(
+        2, [translation(v) for pair in steps for v in pair], Truncation(word_length=2, radius=10.0, tol=tol)
+    )
+    got, expected = generate(spec), generate_sequential(spec)
+    assert_same_elements(got.elements, expected.elements)
+    assert got.word_lengths == expected.word_lengths
+    layer2 = got.c[np.array(got.word_lengths) == 2]
+    near = layer2[np.linalg.norm(layer2 - [1.0, 1.0], axis=1) < 2 * tol]
+    assert len(near) == 2 and np.allclose(np.sort(near[:, 0]), [1.0 - 3 * e[0], 1.0 + e[0]], atol=1e-12)

@@ -127,3 +127,17 @@ def test_inverse_scatter_matches_the_unfolding_loop(shape, cells):
     values = rng.normal(size=grid.values.shape) + 1j * rng.normal(size=grid.values.shape)
     other = LatticeZakGrid(grid.cells, grid.periods, values, grid.samples)
     assert np.array_equal(classic_zak_inverse(other), classic_zak_inverse_loop(other))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_direct_sum_matches_the_term_by_term_loop(d):
+    from oracles import classic_zak_direct_loop
+
+    rng = np.random.default_rng(40 + d)
+    for _ in range(4):
+        cells = tuple(int(m) for m in rng.integers(1, 4, size=d))
+        periods = tuple(int(n) for n in rng.integers(1, 6 if d < 3 else 4, size=d))
+        shape = tuple(m * n for m, n in zip(cells, periods))
+        f = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * rng.choice([1e-3, 1.0, 50.0])
+        residual = np.max(np.abs(classic_zak_direct(f, cells) - classic_zak_direct_loop(f, cells)))
+        assert residual <= 1e-13 * max(1.0, float(np.max(np.abs(f))))

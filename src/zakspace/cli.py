@@ -46,6 +46,7 @@ from .errors import ConfigError, ZakspaceError
 from .fixtures import group_by_name, random_complex
 from .groups import FiniteGroup
 from .serialize import (
+    _finite,
     _integer,
     _positive,
     _typed,
@@ -267,7 +268,12 @@ def _band_model(doc) -> bloch.BandStructure:
     for key in ("t", "M", "N", "V"):
         if key not in doc:
             raise ConfigError(f"band model needs '{key}'")
-    return bloch.band_structure(float(doc["t"]), int(doc["M"]), int(doc["N"]), doc["V"])
+    m = _integer(doc["M"], "M", 1)
+    v = _typed(doc["V"], list, "V")
+    if len(v) != m:
+        raise ConfigError(f"V must hold M = {m} numbers, got {len(v)}")
+    onsite = [_finite(x, "each entry of V") for x in v]
+    return bloch.band_structure(_finite(doc["t"], "t"), m, _integer(doc["N"], "N", 1), onsite)
 
 
 CSV_BLOCK_ROWS = 4096

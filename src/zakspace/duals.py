@@ -25,6 +25,7 @@ norm, completeness sum(d^2) = |G|, and pairwise inequivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +36,7 @@ from .groups import FiniteGroup, check_subgroup, left_cosets, subgroup_as_group
 
 HOM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
+EPS = float(np.finfo(float).eps)
 CHAR_ATOL = 1e-9
 
 
@@ -110,24 +112,108 @@ class DualObject:
         return np.stack([s.character() for s in self.irreps], axis=1)
 
 
-def _pair_products(mats: np.ndarray) -> np.ndarray:
-    """(g, h, i, k) array of sigma(g) sigma(h) for every pair, as one matrix product."""
+PAIR_BLOCK_ENTRIES = 1 << 19  # entries per temporary of the exhaustive homomorphism check
+
+
+def _pair_products(mats: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """(a, b, i, k) array of sigma(a) sigma(b) for a in mats[rows] and every b, as one matrix product."""
+    left = mats[rows]
+    k, n, d = left.shape[0], mats.shape[0], mats.shape[1]
+    prods = left.reshape(k * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)
+    return prods.reshape(k, d, n, d).transpose(0, 2, 1, 3)
+
+
+def _pair_defect(group: FiniteGroup, mats: np.ndarray) -> float:
+    """max |sigma(ab) - sigma(a) sigma(b)| over all |G|^2 pairs, one block of rows a at a time.
+
+    No temporary holds more than PAIR_BLOCK_ENTRIES entries (or one row a).
+    A NaN anywhere makes the result NaN, as one max over the whole array does.
+    """
     n, d = mats.shape[0], mats.shape[1]
-    prods = mats.reshape(n * d, d) @ mats.transpose(1, 0, 2).reshape(d, n * d)
-    return prods.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+    block = max(1, PAIR_BLOCK_ENTRIES // (n * d * d))
+    return np.max([
+        np.max(np.abs(mats[group.table[a : a + block]] - _pair_products(mats, slice(a, a + block))))
+        for a in range(0, n, block)
+    ])
+
+
+def _generator_defect(group: FiniteGroup, mats: np.ndarray) -> float:
+    """delta = max |sigma(a s) - sigma(a) sigma(s)| over every a and every generator s (0 with none).
+
+    All generators at once: one gather along table[:, generators] and one
+    matrix product of the stacked sigma(a) with [sigma(s_1) | sigma(s_2) | ...].
+    """
+    n, d = mats.shape[0], mats.shape[1]
+    gens = group.generators
+    right = mats[gens].transpose(1, 0, 2).reshape(d, len(gens) * d)
+    prods = (mats.reshape(n * d, d) @ right).reshape(n, d, len(gens), d).transpose(0, 2, 1, 3)
+    return np.max(np.abs(mats[group.table[:, gens]] - prods), initial=0.0)
+
+
+def _homomorphism_bound(d: int, length: int, e_defect: float, gen_defect: float, gram_defect: float) -> float:
+    """An upper bound on the exhaustive check's computed max |sigma(ab) - sigma(a) sigma(b)|.
+
+    From the measured identity defect, generator defect and Gram defect of a
+    (|G|, d, d) stack whose longest generator word has `length` letters; see
+    validate_irrep.  inf when an input is not finite or mu^L overflows.
+    """
+    e_defect, gen_defect, gram_defect = float(e_defect), float(gen_defect), float(gram_defect)
+    if not math.isfinite(e_defect + gen_defect + gram_defect):
+        return math.inf
+    rnd = 2 * (d + 2) * EPS  # twice Higham's gamma_{d+2} for a complex dot product of length d
+    rows = (1 + gram_defect) / (1 - rnd)  # >= |row of sigma(g)|^2
+    mu = math.sqrt(1 + d * (gram_defect + rnd * rows))  # >= ||sigma(g)||_2
+    delta = gen_defect * (1 + rnd) + rnd * mu * mu  # >= the exact generator defect
+    try:
+        bound = mu ** (length + 1) * d * e_defect * (1 + rnd) + (1 + mu) * d * delta * length * mu ** (length - 1)
+    except OverflowError:  # mu^L beyond the float range
+        return math.inf
+    return (bound + rnd * mu * mu) * (1 + rnd)
 
 
 def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
+    """Check shape, sigma(e) = I, the homomorphism property, unitarity and character norm 1, in that order.
+
+    Each failure raises NotIrreducible("{label}: ...") at the first failing
+    check.  The homomorphism check (max |sigma(ab) - sigma(a) sigma(b)| <=
+    HOM_ATOL over all pairs) is decided on generators when it can be:
+
+    With E(a, s) = sigma(as) - sigma(a) sigma(s) and F(a, b) = sigma(ab) -
+    sigma(a) sigma(b), writing b = b's with l(b') = l(b) - 1 gives
+
+        F(a, b's) = F(a, b') sigma(s) + E(ab', s) - sigma(a) E(b', s),
+        F(a, e)   = sigma(a) (I - sigma(e)),
+
+    so by induction on the word length l(b) <= L (FiniteGroup.max_word_length)
+
+        ||F(a, b)||_2 <= mu^L mu d eps_e + (1 + mu) d delta sum_{k<L} mu^k
+                      <= mu^(L+1) d eps_e + (1 + mu) d delta L mu^(L-1),
+
+    where eps_e = max |sigma(e) - I| is the measured identity defect,
+    delta = max |E(a, s)| over every a and generator s (|S| gathers and
+    batched products, O(|G| |S| d^3)), and mu >= ||sigma(g)||_2 follows
+    from the Gram defect gamma = max |sigma(g) sigma(g)* - I| as
+    mu^2 = 1 + d gamma.  Every measured quantity is inflated by its rounding
+    bound, and the rounding of the exhaustive products is added.  When the
+    bound is <= HOM_ATOL, every entry the exhaustive check would compute is
+    too, so it is skipped.  Otherwise (a real defect, or NaN or inf entries)
+    the exhaustive check runs, a block of rows at a time, and decides.  The
+    Gram matrix is computed first, but its error is raised after the
+    homomorphism check, so the order of the messages is unchanged.
+    """
     n, d = group.order, irrep.dim
     mats = irrep.matrices
     if mats.shape != (n, d, d):
         raise NotIrreducible(f"{irrep.label}: matrix block has shape {mats.shape}")
-    if np.max(np.abs(mats[group.identity] - np.eye(d))) > HOM_ATOL:
+    e_defect = np.max(np.abs(mats[group.identity] - np.eye(d)))
+    if e_defect > HOM_ATOL:
         raise NotIrreducible(f"{irrep.label}: identity does not map to I")
-    if np.max(np.abs(mats[group.table] - _pair_products(mats))) > HOM_ATOL:
-        raise NotIrreducible(f"{irrep.label}: not a homomorphism")
     gram = mats @ mats.conj().transpose(0, 2, 1)
-    if np.max(np.abs(gram - np.eye(d))) > UNITARY_ATOL:
+    gram_defect = np.max(np.abs(gram - np.eye(d)))
+    bound = _homomorphism_bound(d, group.max_word_length, e_defect, _generator_defect(group, mats), gram_defect)
+    if not bound <= HOM_ATOL and _pair_defect(group, mats) > HOM_ATOL:
+        raise NotIrreducible(f"{irrep.label}: not a homomorphism")
+    if gram_defect > UNITARY_ATOL:
         raise NotIrreducible(f"{irrep.label}: matrices not unitary")
     chi = irrep.character()
     norm = np.vdot(chi, chi).real / n
@@ -136,6 +222,14 @@ def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
 
 
 def validate_dual(dual: DualObject) -> None:
+    """Validate every irrep (validate_irrep), completeness sum d^2 = |G|, then pairwise inequivalence.
+
+    Each irrep's homomorphism check costs O(|G| |S| d^3) on generators when
+    its certificate holds, with the bound stated in validate_irrep, and the
+    exhaustive O(|G|^2 d^3) scan otherwise.  Inequivalence compares the
+    characters: the first pair (i, j), i < j, with |<chi_i, chi_j>| > CHAR_ATOL
+    is named.
+    """
     group = dual.group
     for s in dual.irreps:
         validate_irrep(group, s)

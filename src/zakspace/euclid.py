@@ -50,7 +50,10 @@ class IsometryElement:
         self.c = np.asarray(self.c, dtype=float)
         if self.c.ndim != 1 or self.q.shape != (self.c.shape[0],) * 2:
             raise DimensionMismatch(f"Q is {self.q.shape}, c has shape {self.c.shape}")
-        if _isometry_defects(self.q, self.c):
+        # the test _isometry_defects makes on each of a stack, for one element
+        if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()) or (
+            np.abs(self.q @ self.q.T - np.eye(self.c.shape[0])).max() > 1e-12
+        ):
             raise DimensionMismatch(NOT_ISOMETRY)
 
     @property

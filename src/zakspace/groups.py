@@ -43,6 +43,8 @@ class FiniteGroup:
     most log2(order) elements; the action and cocycle checks run on it.
     """
 
+    _max_word_length = None
+
     def __init__(self, table, identity, inverses, generators, name=None):
         self.table = _read_only_copy(table, int)
         self.order = int(self.table.shape[0])
@@ -51,6 +53,37 @@ class FiniteGroup:
         self.generators = _read_only_copy(generators, int)
         self.name = name
         self._factors = None  # set by direct_product
+
+    @property
+    def max_word_length(self) -> int:
+        """L, the largest word length over generators (read-only, computed once).
+
+        Every element is a product s_1 s_2 ... s_k of generators, with no
+        inverses needed since s^-1 is a power of s; its word length is the
+        least such k.  L is the depth of the breadth-first search of the
+        right Cayley graph x -> x s from the identity, O(|G| |S|).  The
+        search walks Python lists of table rows, as _greedy_generators does:
+        a cyclic group has one element per layer, and a numpy call per layer
+        would cost far more than the layer.  The trivial group has L = 0; a
+        cyclic group of order n on one generator has L = n - 1.  The
+        generator certificates of duals.validate_irrep and
+        bloch.check_invariance multiply their per-generator defects by it.
+        """
+        if self._max_word_length is None:
+            rows = self.table[:, self.generators].tolist()  # rows[x][i] = x * generators[i]
+            seen = [False] * self.order
+            seen[self.identity] = True
+            frontier, depth = [self.identity], -1
+            while frontier:
+                new = []
+                for x in frontier:
+                    for y in rows[x]:
+                        if not seen[y]:
+                            seen[y] = True
+                            new.append(y)
+                frontier, depth = new, depth + 1
+            self._max_word_length = depth
+        return self._max_word_length
 
     def mul(self, g: int, h: int) -> int:
         return int(self.table[g, h])

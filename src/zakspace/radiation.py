@@ -17,6 +17,7 @@ in euclid, so sample permutations and moved fields are batched over them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +80,16 @@ class ScatteringSetup:
             raise ShapeMismatch("weights and density must match the points")
         if self.s0.shape != (3,):
             raise ShapeMismatch("s0 must be a 3-vector")
-        arrays = (self.points, self.weights, self.density, self.s0)
-        if not (all(np.isfinite(a).all() for a in arrays) and np.isfinite([self.omega, self.c_light]).all()):
+        values = np.concatenate([self.points.ravel(), self.weights, self.density, self.s0, [self.omega, self.c_light]])
+        if not np.isfinite(values).all():
             raise ShapeMismatch("points, weights, density, omega, c_light and s0 must be finite")
-        if not np.all(self.weights > 0):
+        if not (self.weights > 0).all():
             raise ShapeMismatch("quadrature weights must be positive")
         if not self.c_light > 0:
             raise ShapeMismatch(f"c_light must be positive, got {self.c_light}")
-        if abs(np.linalg.norm(self.s0) - 1.0) > 1e-12:
-            raise ShapeMismatch(f"s0 must be a unit vector, |s0| = {np.linalg.norm(self.s0)}")
+        norm = math.sqrt(self.s0.dot(self.s0))  # np.linalg.norm(s0), bit for bit
+        if abs(norm - 1.0) > 1e-12:
+            raise ShapeMismatch(f"s0 must be a unit vector, |s0| = {norm}")
 
     @property
     def wavenumber(self) -> float:

@@ -89,11 +89,31 @@ def _integer(value, what: str, least: int) -> int:
     return n
 
 
+def _as_float(value) -> float | None:
+    """value as a float, if it is a finite number (not a bool or a string), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _finite(value, what: str) -> float:
+    """value as a float, if it is a finite number (not a bool or a string)."""
+    x = _as_float(value)
+    if x is None:
+        raise ConfigError(f"{what} must be a finite number, got {value!r:.40}")
+    return x
+
+
 def _positive(value, what: str) -> float:
     """value as a float, if it is a finite number > 0 (not a bool or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
-    return float(value)
+    x = _as_float(value)
+    if x is None or not x > 0:
+        raise ConfigError(f"{what} must be a finite number > 0, got {value!r:.40}")
+    return x
 
 
 def _built(make, what: str, *args, **kwargs):

@@ -13,7 +13,7 @@ from zakspace.bloch import (
     zak_conjugation_residual,
 )
 from zakspace.duals import irreps
-from zakspace.errors import NotHermitian, NotInvariant
+from zakspace.errors import NotHermitian, NotInvariant, ShapeMismatch
 from zakspace.fixtures import c6_ring, d3_flags, random_complex
 from zakspace.zak import zak
 
@@ -200,6 +200,15 @@ def test_band_structure_parallel_map_identical():
     bs1 = band_structure(t=1.0, m=2, n=16, onsite=[0.3, -0.3], jobs=1)
     bs4 = band_structure(t=1.0, m=2, n=16, onsite=[0.3, -0.3], jobs=4)
     assert np.array_equal(bs1.bands, bs4.bands)
+
+
+@pytest.mark.parametrize(
+    "t, onsite",
+    [(np.nan, [0.5, -0.5]), (np.inf, [0.5, -0.5]), (1.0, [0.5, np.nan]), (1.0, [-np.inf, 0.5])],
+)
+def test_band_structure_rejects_non_finite_input(t, onsite):
+    with pytest.raises(ShapeMismatch, match="finite"):
+        band_structure(t, 2, 4, onsite)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (2, 1), (2, 6), (3, 9), (4, 64)])

@@ -466,6 +466,21 @@ def lattice_doc(**changes):
         ("euclid generate", {**c4_group_doc(), "truncation": {"tol": float("nan")}}),
         ("euclid generate", {**c4_group_doc(), "truncation": {"tol": -1e-9}}),
         ("group inspect", {"table": [[0]], "perm": [[0]], "order": True}),
+        ("bands run", {**dimer_model(), "t": float("nan")}),
+        ("bands check", {**dimer_model(), "t": float("nan")}),
+        ("bands check", {**dimer_model(), "V": [0.5, float("nan")]}),
+        ("bands run", {**dimer_model(), "V": [0.5, float("nan")]}),
+        ("bands run", {**dimer_model(), "V": [0.5, float("inf")]}),
+        ("bands run", {**dimer_model(), "M": 2.9}),
+        ("bands run", {**dimer_model(), "M": True}),
+        ("bands run", {**dimer_model(), "N": 4.5}),
+        ("bands run", {**dimer_model(), "t": "1"}),
+        ("bands run", {**dimer_model(), "t": True}),
+        ("bands run", {**dimer_model(), "t": 10**400}),
+        ("bands run", {**dimer_model(), "V": [0.5, "1"]}),
+        ("bands run", {**dimer_model(), "V": 0.5}),
+        ("bands run", {**dimer_model(), "V": [0.5]}),
+        ("euclid certify", {**c4_group_doc(), "truncation": {"radius": 10**400}}),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):

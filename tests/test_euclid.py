@@ -6,6 +6,7 @@ from zakspace.errors import DimensionMismatch, NotClosable, TruncationExceeded
 from zakspace.euclid import (
     IsometryElement,
     IsometryGroupSpec,
+    _isometry_defects,
     Truncation,
     act,
     compose,
@@ -460,11 +461,39 @@ def test_isometry_finite_group_matches_scan_oracle():
         ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
         ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0]),
         ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf]),
+        ([[1.0, -np.inf], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.inf, np.nan]),
+        ([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0]),
     ],
 )
 def test_isometry_rejects_non_finite(q, c):
     with pytest.raises(DimensionMismatch):
         IsometryElement(np.array(q), np.array(c))
+
+
+@pytest.mark.parametrize(
+    "q, c",
+    [
+        (np.eye(2), [1e308, -1e308]),
+        (np.eye(2), [np.nan, 0.0]),
+        (np.eye(2), [0.0, -np.inf]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1e308, 1e308], [1e308, -1e308]], [0.0, 0.0]),  # the Gram matrix has inf - inf = NaN entries
+        (rotation_2d(0.3), [2.0, -1.0]),
+        (rotation_2d(0.3) * (1 + 1e-12), [0.0, 0.0]),
+        (np.eye(3)[[1, 0, 2]], [1e-300, 0.0, 5.0]),
+    ],
+)
+def test_one_element_check_decides_as_the_stacked_check(q, c):
+    q, c = np.array(q, dtype=float), np.array(c, dtype=float)
+    rejected = bool(_isometry_defects(q[None], c[None])[0])
+    try:
+        IsometryElement(q, c)
+    except DimensionMismatch:
+        assert rejected
+    else:
+        assert not rejected
 
 
 def test_drifting_generator_rejected_like_oracle():

@@ -271,6 +271,13 @@ def c4_setup_args():
         ("omega", None, np.nan),
         ("c_light", None, np.inf),
         ("s0", 0, np.nan),
+        ("points", (0, 2), -np.inf),
+        ("weights", 7, np.nan),
+        ("density", 0, np.inf),
+        ("density", 3, -np.inf),
+        ("omega", None, -np.inf),
+        ("c_light", None, np.nan),
+        ("s0", 2, np.inf),
     ],
 )
 def test_scattering_setup_rejects_non_finite(key, index, bad):
@@ -282,6 +289,20 @@ def test_scattering_setup_rejects_non_finite(key, index, bad):
         args[key][index] = bad
     with pytest.raises(ShapeMismatch):
         ScatteringSetup(**args)
+
+
+@pytest.mark.parametrize(
+    "key, index, huge",
+    [("points", (3, 1), 1e308), ("density", 5, -1e308), ("weights", 2, 1e308), ("omega", None, 1e308), ("c_light", None, 1e308)],
+)
+def test_scattering_setup_accepts_huge_finite_values(key, index, huge):
+    args = c4_setup_args()
+    if index is None:
+        args[key] = huge
+    else:
+        args[key] = np.array(args[key], dtype=float)
+        args[key][index] = huge
+    ScatteringSetup(**args)
 
 
 @pytest.mark.parametrize("c_light", [0.0, -1.0])

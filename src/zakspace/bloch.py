@@ -50,9 +50,10 @@ def _conjugation_defect(action: GroupAction, h: np.ndarray, g: int) -> float:
 def check_invariance(action: GroupAction, matrix) -> InvariantOperator:
     """Validate a Hermitian operator that commutes with every permutation of the action.
 
-    Raises ShapeMismatch, then NotHermitian (max |h - h*| > 1e-10 scale),
-    then NotInvariant(g) at the first element g in index order with
-    ||P_g h P_g^T - h||_F > 1e-10 scale, where scale = max(1, ||h||_F).
+    Raises ShapeMismatch, then NotHermitian (a NaN or inf entry, or
+    max |h - h*| > 1e-10 scale), then NotInvariant(g) at the first element
+    g in index order with ||P_g h P_g^T - h||_F > 1e-10 scale, where
+    scale = max(1, ||h||_F).
 
     The elements are certified on generators first.  Gathers by perm are
     exact and the Frobenius norm is invariant under permutation, so for
@@ -62,13 +63,15 @@ def check_invariance(action: GroupAction, matrix) -> InvariantOperator:
 
     with L the group's max_word_length: O(|S| m^2) instead of O(|G| m^2).
     When L max_s (...) (1 + rounding slack) <= 1e-10 scale, no element can
-    fail and the loop is skipped; otherwise (a real defect, or NaN or inf
-    entries) the loop over every element runs and decides.
+    fail and the loop is skipped; otherwise (a real defect, or a defect
+    that overflows) the loop over every element runs and decides.
     """
     h = np.asarray(matrix, dtype=complex)
     m = action.npoints
     if h.shape != (m, m):
         raise ShapeMismatch(f"operator must be {m}x{m}, got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise NotHermitian("operator entries are not finite")
     scale = max(1.0, float(np.linalg.norm(h)))
     if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
         raise NotHermitian("operator is not Hermitian")

@@ -22,6 +22,10 @@ Relative input paths are also tried under $ZAKSPACE_DATA.  Exit codes: 0
 success, 1 verification failure, 2 malformed input or schema violation,
 with one JSON line on stderr.
 
+`zak inverse` reads back all four outputs of `zak forward --out`: a finite
+table or a lattice grid, as JSON or (for a .zak or .bin path) as the
+binary container of zakspace.serialize, told apart by its leading magic.
+
 The verify commands (`zak verify`, `poisson check`, `bands check`,
 `diffract verify`) run the named checks of zakspace.suite on the input
 document and print {checks, all_pass}.
@@ -39,13 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bloch, euclid, lattice, radiation, suite
+from . import bloch, euclid, lattice, radiation, serialize, suite
 from .duals import irreps
 from .zak import VerificationReport, verify_unitarity, zak as zak_transform, zak_inverse
 from .errors import ConfigError, ZakspaceError
 from .fixtures import group_by_name, random_complex
 from .groups import FiniteGroup
 from .serialize import (
+    _extents,
     _finite,
     _integer,
     _positive,
@@ -54,9 +59,6 @@ from .serialize import (
     decode_vector,
     encode_vector,
     group_from_dict,
-    zak_from_dict,
-    zak_to_bytes,
-    zak_to_dict,
 )
 from .weil import weil_structure
 
@@ -94,8 +96,13 @@ def _resolve(path: str) -> Path:
 
 
 def _load_config(path: str, command: str) -> dict:
+    return _document(_resolve(path).read_bytes(), path, command)
+
+
+def _document(raw: bytes, path: str, command: str) -> dict:
+    """The JSON object in raw, with only the keys the command knows."""
     try:
-        text = _resolve(path).read_text(encoding="utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from err
     try:
@@ -141,13 +148,16 @@ def _verdict(reports: list[VerificationReport], args) -> int:
     return 0 if all_pass else 1
 
 
-def _lattice_samples(doc) -> np.ndarray:
+def _lattice_input(doc) -> tuple:
+    """(samples, cells): the samples in their sample_shape and the cell size, one integer or one per axis."""
     if "cells" not in doc:
         raise ConfigError("lattice mode needs 'cells'")
+    cells = doc["cells"]
+    cells = _extents(cells, "cells", 1) if isinstance(cells, list) else _integer(cells, "cells", 1)
     samples = decode_vector(doc["samples"])
     shape = doc.get("sample_shape")
     try:
-        return samples.reshape(shape) if shape else samples
+        return (samples.reshape(shape) if shape else samples), cells
     except (TypeError, ValueError) as err:
         raise ConfigError(f"sample_shape {shape} does not fit {samples.size} samples") from err
 
@@ -193,8 +203,8 @@ def _cmd_zak_forward(args) -> int:
     doc = _load_config(args.config, "zak forward")
     binary = args.out is not None and args.out.endswith((".bin", ".zak"))
     if "samples" in doc:
-        grid = lattice.classic_zak(_lattice_samples(doc), doc["cells"])
-        payload = lattice.grid_to_bytes(grid) if binary else lattice.grid_to_dict(grid)
+        grid = lattice.classic_zak(*_lattice_input(doc))
+        payload = serialize.grid_to_bytes(grid) if binary else serialize.grid_to_dict(grid)
         _emit(payload, args.out, binary=binary)
         return 0
     if "action" not in doc or "f" not in doc:
@@ -203,29 +213,33 @@ def _cmd_zak_forward(args) -> int:
     f = decode_vector(doc["f"])
     dual = irreps(action.group, seed=args.seed)
     coeffs = zak_transform(action, f, dual)
-    payload = zak_to_bytes(coeffs) if binary else zak_to_dict(coeffs)
+    payload = serialize.zak_to_bytes(coeffs) if binary else serialize.zak_to_dict(coeffs)
     _emit(payload, args.out, binary=binary)
     return 0
 
 
 def _cmd_zak_inverse(args) -> int:
-    doc = _load_config(args.config, "zak inverse")
-    if "values" in doc:  # lattice grid document
-        grid = lattice.grid_from_dict(doc)
-        rec = lattice.classic_zak_inverse(grid)
+    raw = _resolve(args.config).read_bytes()
+    if raw[:4] == serialize.GRID_MAGIC:
+        decoded = serialize.grid_from_bytes(raw)
+    elif raw[:4] == serialize.ZAK_MAGIC:
+        decoded = serialize.zak_from_bytes(raw)
+    else:
+        doc = _document(raw, args.config, "zak inverse")
+        decoded = serialize.grid_from_dict(doc) if "values" in doc else serialize.zak_from_dict(doc)
+    if isinstance(decoded, lattice.LatticeZakGrid):
+        rec = lattice.classic_zak_inverse(decoded)
         _emit({"f": encode_vector(rec.ravel()), "shape": list(rec.shape)}, args.out)
-        return 0
-    coeffs = zak_from_dict(doc)
-    f = zak_inverse(coeffs)
-    _emit({"f": encode_vector(f)}, args.out)
+    else:
+        _emit({"f": encode_vector(zak_inverse(decoded))}, args.out)
     return 0
 
 
 def _cmd_zak_verify(args) -> int:
     doc = _load_config(args.config, "zak verify")
     if "samples" in doc:
-        samples = _lattice_samples(doc)
-        grid = lattice.classic_zak(samples, doc["cells"])
+        samples, cells = _lattice_input(doc)
+        grid = lattice.classic_zak(samples, cells)
         shifts = [(x0, (0,) * grid.ndim_space) for x0 in np.ndindex(*grid.cells)]
         return _verdict([
             suite.check_classic_zak_fft("classic_zak_fft_vs_direct", grid),
@@ -239,7 +253,7 @@ def _cmd_zak_verify(args) -> int:
     dual = irreps(action.group, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     fs = [decode_vector(doc["f"])] if "f" in doc else []
-    fs += [random_complex(rng, action.npoints) for _ in range(int(doc.get("n_random", 5)))]
+    fs += [random_complex(rng, action.npoints) for _ in range(_integer(doc.get("n_random", 5), "n_random", 0))]
     if not fs:
         raise ConfigError("zak verify needs 'f' or a positive 'n_random'")
     reports = []
@@ -255,11 +269,14 @@ def _cmd_poisson_check(args) -> int:
     if "group" not in doc or "subgroup" not in doc:
         raise ConfigError("poisson check needs 'group' and 'subgroup'")
     group = _group_from_config(doc["group"])
-    sub = [int(x) for x in doc["subgroup"]]
+    sub = [_integer(x, "each subgroup element", 0) for x in _typed(doc["subgroup"], list, "subgroup")]
     mode = doc.get("mode", "abelian" if group.is_abelian() else "compact")
+    if mode not in ("abelian", "compact"):
+        raise ConfigError(f"mode must be 'abelian' or 'compact', got {mode!r:.40}")
+    n_random = _integer(doc.get("n_random", 50), "n_random", 0)
     rng = np.random.default_rng(args.seed)
     dual = irreps(group, seed=args.seed)
-    fs = [random_complex(rng, group.order) for _ in range(int(doc.get("n_random", 50)))]
+    fs = [random_complex(rng, group.order) for _ in range(n_random)]
     check = suite.check_poisson_abelian if mode == "abelian" else suite.check_poisson_compact
     return _verdict([check(f"poisson_{mode}", group, sub, fs, dual)], args)
 

@@ -172,7 +172,7 @@ def _homomorphism_bound(d: int, length: int, e_defect: float, gen_defect: float,
 
 
 def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
-    """Check shape, sigma(e) = I, the homomorphism property, unitarity and character norm 1, in that order.
+    """Check shape, finite entries, sigma(e) = I, the homomorphism property, unitarity and character norm 1, in that order.
 
     Each failure raises NotIrreducible("{label}: ...") at the first failing
     check.  The homomorphism check (max |sigma(ab) - sigma(a) sigma(b)| <=
@@ -196,15 +196,17 @@ def validate_irrep(group: FiniteGroup, irrep: UnitaryIrrep) -> None:
     mu^2 = 1 + d gamma.  Every measured quantity is inflated by its rounding
     bound, and the rounding of the exhaustive products is added.  When the
     bound is <= HOM_ATOL, every entry the exhaustive check would compute is
-    too, so it is skipped.  Otherwise (a real defect, or NaN or inf entries)
-    the exhaustive check runs, a block of rows at a time, and decides.  The
-    Gram matrix is computed first, but its error is raised after the
-    homomorphism check, so the order of the messages is unchanged.
+    too, so it is skipped.  Otherwise (a real defect, or a bound that
+    overflows) the exhaustive check runs, a block of rows at a time, and
+    decides.  The Gram matrix is computed first, but its error is raised
+    after the homomorphism check, so the order of the messages is unchanged.
     """
     n, d = group.order, irrep.dim
     mats = irrep.matrices
     if mats.shape != (n, d, d):
         raise NotIrreducible(f"{irrep.label}: matrix block has shape {mats.shape}")
+    if not np.all(np.isfinite(mats)):
+        raise NotIrreducible(f"{irrep.label}: matrices not finite")
     e_defect = np.max(np.abs(mats[group.identity] - np.eye(d)))
     if e_defect > HOM_ATOL:
         raise NotIrreducible(f"{irrep.label}: identity does not map to I")

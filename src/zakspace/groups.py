@@ -315,10 +315,12 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def check_subgroup(group: FiniteGroup, elements) -> list[int]:
-    """Validate closure under product and inverse; return the sorted subgroup."""
+    """Validate the indices, closure under product and inverse; return the sorted subgroup."""
     elems = sorted(set(int(x) for x in elements))
     if not elems:
         raise NotSubgroup("empty element set")
+    if elems[0] < 0 or elems[-1] >= group.order:
+        raise NotSubgroup(f"element {elems[0] if elems[0] < 0 else elems[-1]} is not in 0..{group.order - 1}")
     member = set(elems)
     if group.identity not in member:
         raise NotSubgroup("subgroup must contain the identity")

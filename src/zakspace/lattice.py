@@ -15,14 +15,11 @@ k_j = 2 pi j / (N M) per axis; adding a reciprocal-lattice vector
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
-
-MAGIC = b"ZAK1"
 
 
 @dataclass
@@ -137,61 +134,3 @@ def roundtrip_residual(samples, cells) -> float:
     rec = classic_zak_inverse(classic_zak(samples, cells))
     return float(np.max(np.abs(rec - samples)) / max(1.0, float(np.max(np.abs(samples)))))
 
-
-# ---------------------------------------------------------------------------
-# serialization: JSON-friendly dict and a flat binary format
-
-
-def grid_to_dict(grid: LatticeZakGrid) -> dict:
-    flat = grid.values.ravel()
-    return {
-        "cells": list(grid.cells),
-        "periods": list(grid.periods),
-        "values": [[float(v.real), float(v.imag)] for v in flat],
-        "samples": [[float(v.real), float(v.imag)] for v in grid.samples.ravel()],
-        "sample_shape": list(grid.samples.shape),
-    }
-
-
-def grid_from_dict(doc: dict) -> LatticeZakGrid:
-    cells = tuple(int(m) for m in doc["cells"])
-    periods = tuple(int(n) for n in doc["periods"])
-    values = np.array([complex(re, im) for re, im in doc["values"]]).reshape(cells + periods)
-    samples = np.array([complex(re, im) for re, im in doc["samples"]]).reshape(
-        tuple(doc["sample_shape"])
-    )
-    return LatticeZakGrid(cells, periods, values, samples)
-
-
-def grid_to_bytes(grid: LatticeZakGrid) -> bytes:
-    """MAGIC, ndim, cells, periods, then little-endian float64 re/im pairs."""
-    d = grid.ndim_space
-    head = MAGIC + struct.pack("<I", d)
-    head += struct.pack(f"<{d}I", *grid.cells)
-    head += struct.pack(f"<{d}I", *grid.periods)
-    flat = grid.values.ravel()
-    body = np.empty(2 * flat.size, dtype="<f8")
-    body[0::2], body[1::2] = flat.real, flat.imag
-    sflat = grid.samples.ravel()
-    sbody = np.empty(2 * sflat.size, dtype="<f8")
-    sbody[0::2], sbody[1::2] = sflat.real, sflat.imag
-    return head + body.tobytes() + sbody.tobytes()
-
-
-def grid_from_bytes(raw: bytes) -> LatticeZakGrid:
-    if raw[:4] != MAGIC:
-        raise ShapeMismatch("bad magic, not a zak binary file")
-    (d,) = struct.unpack_from("<I", raw, 4)
-    cells = struct.unpack_from(f"<{d}I", raw, 8)
-    periods = struct.unpack_from(f"<{d}I", raw, 8 + 4 * d)
-    off = 8 + 8 * d
-    nval = int(np.prod(cells)) * int(np.prod(periods))
-    arr = np.frombuffer(raw, dtype="<f8", count=2 * nval, offset=off)
-    values = (arr[0::2] + 1j * arr[1::2]).reshape(cells + periods)
-    off += 16 * nval
-    nsmp = int(np.prod([cells[a] * periods[a] for a in range(d)]))
-    arr2 = np.frombuffer(raw, dtype="<f8", count=2 * nsmp, offset=off)
-    samples = (arr2[0::2] + 1j * arr2[1::2]).reshape(
-        tuple(cells[a] * periods[a] for a in range(d))
-    )
-    return LatticeZakGrid(tuple(cells), tuple(periods), values, samples)

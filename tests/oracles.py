@@ -623,6 +623,8 @@ def validate_dual_loop(dual) -> None:
         d, mats = s.dim, s.matrices
         if mats.shape != (n, d, d):
             raise NotIrreducible(f"{s.label}: matrix block has shape {mats.shape}")
+        if not np.isfinite(mats).all():
+            raise NotIrreducible(f"{s.label}: matrices not finite")
         if np.max(np.abs(mats[group.identity] - np.eye(d))) > HOM_ATOL:
             raise NotIrreducible(f"{s.label}: identity does not map to I")
         if np.max(np.abs(mats[group.table] - pair_products_einsum(mats))) > HOM_ATOL:

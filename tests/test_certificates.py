@@ -32,7 +32,8 @@ from zakspace.duals import (
     irreps_by_induction,
     validate_dual,
 )
-from zakspace.errors import NotInvariant, NotIrreducible
+from zakspace.actions import translation_action
+from zakspace.errors import NotHermitian, NotInvariant, NotIrreducible
 from zakspace.euclid import to_finite_action
 from zakspace.groups import (
     cyclic_group,
@@ -140,11 +141,30 @@ def test_fallback_runs_when_the_certificate_cannot_decide(fallbacks, route_duals
     assert fallbacks[0] == 1
 
 
-def test_nan_entries_pass_as_the_exhaustive_scan_lets_them():
-    """A NaN in the products makes the scan's max NaN, which is not > HOM_ATOL; the fallback keeps that."""
+def test_nan_entries_decide_as_the_exhaustive_oracle():
+    """A NaN entry is rejected before any max over the products, where NaN > HOM_ATOL would let it pass."""
     dual = irreps(symmetric_group(4))
     planted = _planted(dual, 0, 3, (0, 0), np.nan)
     assert_same_outcome(outcome(validate_dual, planted), outcome(validate_dual_loop, planted), close=lambda a, b: True)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_dual_entries_are_not_irreducible(route_duals, entry):
+    dual = route_duals["Young S4"]
+    i = 2
+    with pytest.raises(NotIrreducible, match=f"^{dual.irreps[i].label}: matrices not finite$"):
+        validate_dual(_planted(dual, i, 3, (0, 0), entry))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_operators_are_not_hermitian(entry):
+    action = translation_action(cyclic_group(4))
+    with pytest.raises(NotHermitian, match="not finite"):
+        check_invariance(action, np.full((4, 4), entry))
+    h = np.eye(4, dtype=complex)
+    h[1, 2] = entry
+    with pytest.raises(NotHermitian, match="not finite"):
+        check_invariance(action, h)
 
 
 def test_trivial_group_has_word_length_zero_and_validates():

@@ -1,12 +1,24 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from zakspace.cli import main
 from zakspace.duals import irreps
-from zakspace.serialize import action_to_dict, encode_vector, zak_to_dict
+from zakspace.lattice import classic_zak
+from zakspace.serialize import (
+    GRID_MAGIC,
+    ZAK_MAGIC,
+    _pack,
+    action_to_dict,
+    encode_vector,
+    grid_to_bytes,
+    grid_to_dict,
+    zak_to_bytes,
+    zak_to_dict,
+)
 from zakspace.fixtures import BUNDLED_ACTIONS, d3_triangle, random_complex, z2_fixed_point, z4_rotation
 from zakspace.zak import zak
 
@@ -161,7 +173,8 @@ def test_zak_forward_lattice_and_binary(tmp_path, capsys):
     cfg = {"samples": [float(v) for v in f], "cells": [3]}
     bin_path = str(tmp_path / "grid.zak")
     assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", bin_path]) == 0
-    from zakspace.lattice import classic_zak, grid_from_bytes
+    from zakspace.lattice import classic_zak
+    from zakspace.serialize import grid_from_bytes
 
     grid = grid_from_bytes((tmp_path / "grid.zak").read_bytes())
     direct = classic_zak(f.astype(complex), cells=3)
@@ -182,9 +195,10 @@ def test_declared_count_must_be_an_integer(tmp_path, capsys, key, value):
 
 def test_binary_input_is_a_config_error(tmp_path, capsys):
     cfg = {"action": action_to_dict(z4_rotation()), "f": [1.0, 2.0, 3.0, 4.0]}
-    bin_path = str(tmp_path / "x.zak")
-    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", bin_path]) == 0
-    assert main(["zak", "inverse", bin_path]) == 2
+    bin_path = tmp_path / "x.zak"
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", str(bin_path)]) == 0
+    bin_path.write_bytes(b"ZAK1" + bin_path.read_bytes()[4:])  # no container magic: read as JSON
+    assert main(["zak", "inverse", str(bin_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
@@ -425,6 +439,12 @@ def lattice_doc(**changes):
     return {"samples": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "cells": [2], **changes}
 
 
+def grid_doc(**changes):
+    """The lattice grid document of lattice_doc(), with entries replaced, or dropped where None."""
+    doc = {**grid_to_dict(classic_zak(np.arange(1.0, 7.0), cells=2)), **changes}
+    return {key: value for key, value in doc.items() if value is not None}
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -481,6 +501,32 @@ def lattice_doc(**changes):
         ("bands run", {**dimer_model(), "V": 0.5}),
         ("bands run", {**dimer_model(), "V": [0.5]}),
         ("euclid certify", {**c4_group_doc(), "truncation": {"radius": 10**400}}),
+        ("zak inverse", grid_doc(cells=["a"])),
+        ("zak inverse", grid_doc(cells=[2.5])),
+        ("zak inverse", grid_doc(cells=[-3])),
+        ("zak inverse", grid_doc(values=grid_doc()["values"][:-1])),
+        ("zak inverse", grid_doc(periods=None)),
+        ("zak inverse", grid_doc(periods=[0])),
+        ("zak inverse", grid_doc(sample_shape=[5])),
+        ("zak inverse", grid_doc(values=[[float("nan"), 0.0]] + grid_doc()["values"][1:])),
+        ("zak inverse", grid_doc(sample_shape=[3, 2])),
+        ("zak inverse", grid_doc(cells=[2, 1])),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, 6.7]}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, True]}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, 1], "n_random": 2.5}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, 1], "n_random": -3}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, 1], "mode": "weird"}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, 6]}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": [0, -1]}),
+        ("poisson check", {"group": "symmetric:3", "subgroup": "0 1"}),
+        ("poisson check", {"group": 5, "subgroup": [0]}),
+        ("zak verify", {"action": action_to_dict(z2_fixed_point()), "n_random": 1.9}),
+        ("zak inverse", {**finite_zak_doc(), "action": 5}),
+        ("zak inverse", {**finite_zak_doc(), "f_norm": 10**400}),
+        ("zak forward", lattice_doc(cells=["a"])),
+        ("zak forward", lattice_doc(cells=[2.5])),
+        ("zak verify", lattice_doc(cells=0)),
+        ("zak inverse", grid_doc(cells=[1] * 40, periods=[1] * 40, sample_shape=[1] * 40, values=[1.0], samples=[1.0])),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
@@ -490,3 +536,134 @@ def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert "error" in json.loads(line)
+
+
+# ---------------------------------------------------------------------------
+# every file `zak forward --out` writes, `zak inverse` reads back
+
+
+def forward_config(kind: str):
+    """(document, f): a finite action with f, or 2-d lattice samples f."""
+    rng = np.random.default_rng(19)
+    if kind == "finite":
+        action = d3_triangle()
+        f = random_complex(rng, action.npoints)
+        return {"action": action_to_dict(action), "f": encode_vector(f)}, f
+    f = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    return {"samples": encode_vector(f.ravel()), "cells": [3, 2], "sample_shape": [6, 4]}, f
+
+
+@pytest.mark.parametrize("suffix", [".json", ".zak", ".bin"])
+@pytest.mark.parametrize("kind, rel_tol", [("finite", 1e-11), ("lattice", 1e-10)])
+def test_zak_inverse_reads_back_every_forward_output(tmp_path, capsys, kind, rel_tol, suffix):
+    cfg, f = forward_config(kind)
+    out_path = str(tmp_path / f"coeffs{suffix}")
+    assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", out_path]) == 0
+    assert main(["zak", "inverse", out_path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rec = np.array([complex(re, im) for re, im in out["f"]]).reshape(out.get("shape", f.shape))
+    assert np.max(np.abs(rec - f)) <= rel_tol * np.max(np.abs(f))
+
+
+def test_binary_and_json_inverse_print_the_same_bytes(tmp_path, capsys):
+    for kind in ("finite", "lattice"):
+        cfg, _f = forward_config(kind)
+        printed = []
+        for suffix in (".json", ".zak"):
+            out_path = str(tmp_path / f"coeffs{suffix}")
+            assert main(["zak", "forward", write(tmp_path, "in.json", cfg), "--out", out_path]) == 0
+            assert main(["zak", "inverse", out_path]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1], kind
+
+
+def container(kind: str) -> bytes:
+    """A small valid container of each kind."""
+    if kind == "finite":
+        action = z2_fixed_point()
+        return zak_to_bytes(zak(action, np.array([1.0, 2.0 - 1.0j, 3.0]), irreps(action.group)))
+    return grid_to_bytes(classic_zak(np.arange(1.0, 7.0), cells=2))
+
+
+def parts(raw: bytes) -> tuple:
+    """(header text, body) of a container."""
+    (size,) = struct.unpack_from("<I", raw, 8)
+    return raw[12 : 12 + size], raw[12 + size :]
+
+
+def header_of(raw: bytes) -> dict:
+    return json.loads(parts(raw)[0])
+
+
+def rebuilt(raw: bytes, header=None, body=None, version=1) -> bytes:
+    """raw with its version, header (bytes, or a document) or body replaced, the header size kept consistent."""
+    text, old_body = parts(raw)
+    if header is not None:
+        text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return raw[:4] + struct.pack("<II", version, len(text)) + text + (old_body if body is None else body)
+
+
+def with_shapes(raw: bytes, shapes) -> bytes:
+    return rebuilt(raw, header={**header_of(raw), "shapes": shapes})
+
+
+def one_flat_shape(raw: bytes) -> bytes:
+    """The same body under one flat shape, which matches neither kind's layout."""
+    return with_shapes(raw, [[sum(int(np.prod(s)) for s in header_of(raw)["shapes"])]])
+
+
+CONTAINER_FAULTS = {
+    "old magic": lambda raw: b"ZAK1" + raw[4:],
+    "swapped magic": lambda raw: (GRID_MAGIC if raw[:4] == ZAK_MAGIC else ZAK_MAGIC) + raw[4:],
+    "version 2": lambda raw: rebuilt(raw, version=2),
+    "header size past the end": lambda raw: raw[:8] + struct.pack("<I", len(raw)) + raw[12:],
+    "header not JSON": lambda raw: rebuilt(raw, header=b"{"),
+    "header not UTF-8": lambda raw: rebuilt(raw, header=b'"\xff"'),
+    "header not an object": lambda raw: rebuilt(raw, header=[1, 2]),
+    "shapes missing": lambda raw: rebuilt(raw, header={k: v for k, v in header_of(raw).items() if k != "shapes"}),
+    "non-integer shape": lambda raw: with_shapes(raw, [[2.5]] + header_of(raw)["shapes"][1:]),
+    "negative shape": lambda raw: with_shapes(raw, [[-1]] + header_of(raw)["shapes"][1:]),
+    "huge empty shape": lambda raw: with_shapes(raw, header_of(raw)["shapes"] + [[10**30, 0]]),
+    "one trailing byte": lambda raw: raw + b"\x00",
+    "one byte short": lambda raw: raw[:-1],
+    "one entry short": lambda raw: raw[:-16],
+    "shapes disagree with the metadata": one_flat_shape,
+    "a NaN entry": lambda raw: rebuilt(raw, body=struct.pack("<dd", float("nan"), 0.0) + parts(raw)[1][16:]),
+}
+
+
+def assert_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "error" in json.loads(line)
+
+
+@pytest.mark.parametrize("fault", list(CONTAINER_FAULTS))
+@pytest.mark.parametrize("kind", ["finite", "lattice"])
+def test_container_fault_exit_2(tmp_path, capsys, kind, fault):
+    path = tmp_path / "bad.zak"
+    path.write_bytes(CONTAINER_FAULTS[fault](container(kind)))
+    assert_exit_2(["zak", "inverse", str(path)], capsys)
+
+
+def test_finite_stacks_that_disagree_with_the_dual_exit_2(tmp_path, capsys):
+    action = d3_triangle()
+    coeffs = zak(action, np.arange(1.0, action.npoints + 1), irreps(action.group))
+    header = {key: header_of(zak_to_bytes(coeffs))[key] for key in ("action", "dual", "f_norm")}
+    path = tmp_path / "bad.zak"
+    for stacks in (coeffs.blocks[:-1], [z.swapaxes(0, 1) for z in coeffs.blocks], coeffs.blocks[::-1]):
+        path.write_bytes(_pack(ZAK_MAGIC, header, stacks))
+        assert_exit_2(["zak", "inverse", str(path)], capsys)
+
+
+@pytest.mark.parametrize("kind", ["finite", "lattice"])
+def test_every_truncation_of_a_container_exit_2(tmp_path, capsys, kind):
+    raw = container(kind)
+    path = tmp_path / "cut.zak"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        assert_exit_2(["zak", "inverse", str(path)], capsys)
+    path.write_bytes(raw)
+    assert main(["zak", "inverse", str(path)]) == 0

@@ -77,6 +77,12 @@ def test_subgroup_checks():
     assert generated_subgroup(g, [2]) == [0, 2, 4]
 
 
+@pytest.mark.parametrize("elements", [[0, 6], [0, -1], [-6, 0, 3]])
+def test_subgroup_indices_outside_the_group_are_rejected(elements):
+    with pytest.raises(NotSubgroup, match=r"is not in 0\.\.5"):
+        check_subgroup(cyclic_group(6), elements)
+
+
 def test_cosets_and_normality():
     g = symmetric_group(3)
     h = generated_subgroup(g, [1])  # some transposition or 3-cycle

@@ -7,13 +7,10 @@ from zakspace.lattice import (
     classic_zak_direct,
     classic_zak_inverse,
     eval_at_wavevector,
-    grid_from_bytes,
-    grid_from_dict,
-    grid_to_bytes,
-    grid_to_dict,
     quasiperiodicity_residual,
     roundtrip_residual,
 )
+from zakspace.serialize import grid_from_bytes, grid_from_dict, grid_to_bytes, grid_to_dict
 
 
 def test_delta_at_origin_flat_in_k():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zakspace.duals import irreps
-from zakspace.errors import ConfigError
+from zakspace.errors import ConfigError, InvariantViolation
 from zakspace.fixtures import random_complex, s3_translation, z2_fixed_point
 from zakspace.serialize import (
     action_from_dict,
@@ -11,6 +11,7 @@ from zakspace.serialize import (
     dual_to_dict,
     group_from_dict,
     zak_blocks_from_bytes,
+    zak_from_bytes,
     zak_from_dict,
     zak_to_bytes,
     zak_to_dict,
@@ -63,3 +64,29 @@ def test_zak_binary_blocks():
 def test_zak_binary_bad_magic():
     with pytest.raises(ConfigError):
         zak_blocks_from_bytes(b"NOPE" + b"\x00" * 16)
+
+
+def test_zak_container_holds_the_table_and_what_inverts_it():
+    action = s3_translation()
+    dual = irreps(action.group)
+    f = random_complex(np.random.default_rng(2), 6)
+    coeffs = zak(action, f, dual)
+    raw = zak_to_bytes(coeffs)
+    assert raw[:4] == b"ZAKF"
+    back = zak_from_bytes(raw)
+    assert back.f_norm == coeffs.f_norm
+    assert back.dual.labels == dual.labels
+    assert np.array_equal(back.action.perm, action.perm)
+    assert all(np.array_equal(a, b) for a, b in zip(back.blocks, coeffs.blocks))
+    assert np.max(np.abs(zak_inverse(back) - f)) < 1e-11
+
+
+def test_zak_container_checks_the_invariants_it_reads():
+    action = z2_fixed_point()
+    coeffs = zak(action, np.array([1.0, 2.0, 3.0]), irreps(action.group))
+    body = b"".join(np.asarray(z, dtype="<c16").tobytes() for z in coeffs.blocks)
+    raw = zak_to_bytes(coeffs)
+    broken = bytearray(raw)
+    broken[-len(body) :] = np.full(len(body) // 16, 1.0 + 0.0j, dtype="<c16").tobytes()  # nonzero off-support blocks
+    with pytest.raises(InvariantViolation):
+        zak_from_bytes(bytes(broken))

@@ -736,35 +736,15 @@ def irreps_by_induction(group: FiniteGroup, normal_abelian, seed: int = 0) -> Du
 # front door
 
 
-def irreps(group: FiniteGroup, catalog_hint: str | None = None, normal_abelian=None, seed: int = 0) -> DualObject:
+def irreps(group: FiniteGroup, normal_abelian=None, seed: int = 0) -> DualObject:
     """A complete validated DualObject for a modest finite group.
 
-    Route selection: an explicit catalog_hint ("cyclic:N", "dihedral:N",
-    "product") is honored or rejected; otherwise a supplied normal abelian
-    subgroup triggers the induction route, abelian, dihedral and
-    direct-product structure is detected, then a group of order n! (n >= 4)
-    with a Coxeter chain of S_n in its table gets Young's orthogonal form,
-    and the regular representation is split numerically as the fallback.
+    Route selection: a supplied normal abelian subgroup triggers the
+    induction route; otherwise abelian, dihedral and direct-product
+    structure is detected, then a group of order n! (n >= 4) with a Coxeter
+    chain of S_n in its table gets Young's orthogonal form, and the regular
+    representation is split numerically as the fallback.
     """
-    if catalog_hint is not None:
-        kind = catalog_hint.split(":")[0]
-        if kind == "cyclic":
-            return dual_abelian(group, seed=seed)
-        if kind == "dihedral":
-            found = _dihedral_structure(group)
-            if found is None:
-                raise NotIrreducible(f"group is not dihedral, hint {catalog_hint!r}")
-            dual = _dihedral_dual(group, *found)
-            validate_dual(dual)
-            return dual
-        if kind == "product":
-            if group._factors is None:
-                raise NotIrreducible("product hint needs a group built by direct_product")
-            dual = _product_dual(group, seed)
-            validate_dual(dual)
-            return dual
-        raise ValueError(f"unknown catalog hint {catalog_hint!r}")
-
     if normal_abelian is not None:
         return irreps_by_induction(group, normal_abelian, seed=seed)
     if group.is_abelian():

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import euclid
 from .actions import GroupAction, make_action, translation_action
-from .errors import ConfigError
-from .groups import FiniteGroup, cyclic_group, dihedral_group, direct_product, symmetric_group
+from .groups import FiniteGroup, cyclic_group, dihedral_group, symmetric_group
 from .radiation import ScatteringSetup
 
 
@@ -99,29 +98,6 @@ BUNDLED_ACTIONS = {
     "d3_triangle": d3_triangle,
     "weighted_fixed_point": weighted_fixed_point,
 }
-
-
-_CATALOG = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
-
-
-def group_by_name(name: str) -> FiniteGroup:
-    """Catalog lookup: cyclic:N, dihedral:N, symmetric:N, product:AxB.
-
-    A name outside the catalog, or an order the catalog rejects, raises
-    ConfigError.
-    """
-    kind, _, arg = name.partition(":")
-    if kind == "product":
-        left, sep, right = arg.partition("x")
-        if not sep:
-            raise ConfigError(f"product name needs AxB, got {name!r}")
-        return direct_product(group_by_name(left), group_by_name(right))
-    if kind not in _CATALOG:
-        raise ConfigError(f"unknown group name {name!r}")
-    try:
-        return _CATALOG[kind](int(arg))
-    except ValueError as err:
-        raise ConfigError(f"bad group name {name!r}: {err}") from err
 
 
 def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:

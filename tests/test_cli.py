@@ -348,6 +348,12 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "line" in diag and "column" in diag
 
 
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text('{"t": ' + "[" * 5000 + "]" * 5000 + ', "M": 1, "N": 1, "V": [0.0]}')
+    assert_exit_2(["bands", "run", str(p)], capsys)
+
+
 def test_unknown_keys_exit_2(tmp_path, capsys):
     cfg = {"t": 1.0, "M": 1, "N": 4, "V": [0.0], "bogus": 1}
     assert main(["bands", "run", write(tmp_path, "m.json", cfg)]) == 2
@@ -527,6 +533,30 @@ def grid_doc(**changes):
         ("zak forward", lattice_doc(cells=[2.5])),
         ("zak verify", lattice_doc(cells=0)),
         ("zak inverse", grid_doc(cells=[1] * 40, periods=[1] * 40, sample_shape=[1] * 40, values=[1.0], samples=[1.0])),
+        # every reader declares its keys once and reads every field by one rule (these exited 0 or with a traceback)
+        ("euclid generate", {**c4_group_doc(), "truncation": {"word_lenght": 2}}),
+        ("zak verify", lattice_doc(f="junk", n_random="x")),
+        ("diffract verify", {**diffract_doc(), "omega": True}),
+        ("euclid generate", {"dim": 2, "generators": [{"Q": [[True, 0], [0, 1]], "c": [0.0, 0.0]}]}),
+        ("group inspect", {"table": [[0]], "perm": [[0]], "weights": [True]}),
+        ("diffract verify", {**diffract_doc(), "weights": [True] * 8}),
+        ("zak forward", {"samples": [], "cells": [1]}),
+        ("zak verify", {"samples": [], "cells": [1]}),
+        ("zak forward", lattice_doc(samples=[1.0], cells=[1] * 40, sample_shape=[1] * 40)),
+        ("zak verify", lattice_doc(samples=[1.0], cells=[1] * 40, sample_shape=[1] * 40)),
+        ("euclid generate", {**c4_group_doc(), "generators": [{**c4_group_doc()["generators"][0], "angle": 90}]}),
+        ("zak forward", {"action": {**action_to_dict(z2_fixed_point()), "bogus": 1}, "f": [1.0, 2.0, 3.0]}),
+        ("zak inverse", {**finite_zak_doc(), "dual": {**finite_zak_doc()["dual"], "bogus": 1}}),
+        ("zak forward", {"action": action_to_dict(z2_fixed_point()), "f": [True, 2.0, 3.0]}),
+        ("diffract verify", {**diffract_doc(), "n": [[True, 0.0], [-2.0, 0.0], [-1.0, 0.0]]}),
+        ("zak forward", lattice_doc(samples=[True, 1.0, 2.0, 3.0])),
+        ("zak forward", lattice_doc(action=action_to_dict(z2_fixed_point()))),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "weights": None}),
+        ("group inspect", {**action_to_dict(z2_fixed_point()), "table": [[0.0, 1.0], [1.0, 0.0]]}),
+        ("poisson check", {"group": action_to_dict(z2_fixed_point()), "subgroup": [0]}),
+        ("zak inverse", {**finite_zak_doc(), "representatives": [0, 1]}),
+        ("zak inverse", {**finite_zak_doc(), "blocks": finite_zak_doc()["blocks"] + finite_zak_doc()["blocks"][:1]}),
+        ("zak verify", lattice_doc(sample_shape=[-1])),
     ],
 )
 def test_malformed_document_exit_2(tmp_path, capsys, command, doc):
@@ -667,3 +697,4 @@ def test_every_truncation_of_a_container_exit_2(tmp_path, capsys, kind):
         assert_exit_2(["zak", "inverse", str(path)], capsys)
     path.write_bytes(raw)
     assert main(["zak", "inverse", str(path)]) == 0
+

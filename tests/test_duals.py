@@ -118,11 +118,6 @@ def test_mackey_induction_d4():
     validate_dual(dual)
 
 
-def test_catalog_hint_rejects_wrong_structure():
-    with pytest.raises(NotIrreducible):
-        irreps(cyclic_group(4), catalog_hint="dihedral:2")
-
-
 def test_basis_independence_of_characters():
     rng = np.random.default_rng(7)
     dual = irreps(symmetric_group(3))

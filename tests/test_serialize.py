@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from zakspace.serialize import (
     action_to_dict,
     dual_from_dict,
     dual_to_dict,
+    encode_vector,
     group_from_dict,
     zak_blocks_from_bytes,
     zak_from_bytes,
@@ -90,3 +93,10 @@ def test_zak_container_checks_the_invariants_it_reads():
     broken[-len(body) :] = np.full(len(body) // 16, 1.0 + 0.0j, dtype="<c16").tobytes()  # nonzero off-support blocks
     with pytest.raises(InvariantViolation):
         zak_from_bytes(bytes(broken))
+
+
+def test_encode_vector_writes_the_bytes_of_the_per_entry_encoder():
+    reals = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.5, np.pi])
+    for v in (reals, reals[:, None] + 1j * reals[None, :], np.array([complex(-0.0, -0.0)]), np.arange(3)):
+        per_entry = [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(v).ravel()]
+        assert json.dumps(encode_vector(v)) == json.dumps(per_entry)

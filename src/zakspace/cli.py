@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -197,7 +198,9 @@ def _cmd_bands_run(args) -> int:
 
 
 def _cmd_bands_check(args) -> int:
-    bs = bloch.band_structure(*serialize.band_model_from_dict(_load(args.config)))
+    t, m, n, v = serialize.band_model_from_dict(_load(args.config))
+    serialize.check_size((n * m) ** 2, 16, "the dense ring of N * M sites")
+    bs = bloch.band_structure(t, m, n, v)
     return _verdict([
         suite.check_band_union("band_union_vs_dense", bs),
         suite.check_bands_even("bands_even_in_k", bs),
@@ -266,6 +269,7 @@ def _cmd_suite_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")

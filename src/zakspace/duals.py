@@ -10,13 +10,16 @@ Three routes produce a complete dual:
   to all n! elements); its irreps are Young's orthogonal form on that
   chain, carried to every element along a breadth-first word;
 * induction of the characters of a supplied normal abelian subgroup up to
-  the group, followed by numeric splitting of each induced representation;
-* splitting of the regular representation with a random element of its
-  commutant (seeded, then polished to an exactly invariant subspace by
-  averaging the subspace projector over the group).  A group average of an
-  |G| x |G| matrix commutes with the regular representation, so it is a
-  convolution over the multiplication table: one gather of O(|G|^2) entries
-  per average, not |G| shuffled copies of the matrix.
+  the group, each reducible induced representation split as below;
+* numeric splitting of the regular representation.  One splitter serves
+  both numeric routes: by Schur's lemma the eigenspaces of a random
+  Hermitian commutant element (seeded) are irreducible.  Each is polished
+  by averaging its projector over the group, and a draw stands only if
+  every piece has character norm one and is invariant on generators,
+  L max_s ||rho(s) V - V sigma(s)||_F <= 1e-8 (L the longest generator
+  word); otherwise it is drawn again, as is a dual that fails validation.
+  For the regular representation a group average is a convolution over the
+  table: one gather of O(|G|^2) entries, not |G| shuffled matrix copies.
 
 Whatever the route, the result is validated against the same invariants:
 unitarity, the homomorphism property, irreducibility via the character
@@ -553,9 +556,10 @@ def _symmetric_dual(group: FiniteGroup, chain: np.ndarray, layers) -> DualObject
 # numeric splitting
 
 
-def _restrict(mats: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """V* rho(g) V for every g; basis columns orthonormal."""
-    return basis.conj().T @ mats @ basis
+def _character_norm_one(group: FiniteGroup, mats: np.ndarray) -> bool:
+    """Character norm 1 to 1e-8: a unitary (|G|, d, d) stack is irreducible."""
+    chi = np.einsum("gii->g", mats)
+    return abs(np.vdot(chi, chi).real / group.order - 1.0) < 1e-8
 
 
 def _group_average(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -563,53 +567,55 @@ def _group_average(mats: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (mats @ m @ mats.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
-def _split_invariant_subspaces(mats: np.ndarray, rng, depth: int = 0) -> list[np.ndarray]:
-    """Orthonormal bases of irreducible invariant subspaces of a unitary rep.
+def _split(group: FiniteGroup, average, moved, dim: int, rng) -> list[np.ndarray]:
+    """The stacks V* rho(g) V of the irreducible invariant subspaces V of a unitary rep rho of dimension dim.
 
-    Splits along the eigenspaces of a random Hermitian commutant element,
-    polishes each cluster by averaging its projector over the group, and
-    recurses until every piece has character norm one.
+    rho enters as its group average M -> (1/|G|) sum_g rho(g) M rho(g)* and
+    its action V -> (rho(g) V)_g.  A draw stands if every polished
+    eigenspace passes the gate, has character norm one and has
+    L max_s ||rho(s) V - V sigma(s)||_F <= 1e-8, which bounds every
+    element's defect (triangle inequality along a word of length <= L =
+    FiniteGroup.max_word_length); otherwise it draws again, 8 draws in all.
     """
-    n, dim = mats.shape[0], mats.shape[1]
-    chi = np.einsum("gii->g", mats)
-    if abs(np.vdot(chi, chi).real / n - 1.0) < 1e-8:
-        return [np.eye(dim, dtype=complex)]
-    if depth > 8:
-        raise NotIrreducible("invariant-subspace recursion did not terminate")
-
+    gens = group.generators
     for _ in range(8):
         b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        b = b + b.conj().T
-        t = _group_average(mats, b)
-        vals, vecs = np.linalg.eigh(t)
+        vals, vecs = np.linalg.eigh(average(b + b.conj().T))
         scale = max(1.0, float(np.max(np.abs(vals))))
-        clusters, start = [], 0
-        for i in range(1, dim + 1):
-            if i == dim or vals[i] - vals[i - 1] > 1e-6 * scale:
-                clusters.append(vecs[:, start:i])
-                start = i
-        if len(clusters) == 1:
-            continue  # degenerate draw, try fresh randomness
-        bases = []
-        ok = True
-        for v in clusters:
-            w, u = np.linalg.eigh(_group_average(mats, v @ v.conj().T))
+        cuts = [0, *(np.flatnonzero(np.diff(vals) > 1e-6 * scale) + 1).tolist(), dim]
+        stacks = []
+        for v in (vecs[:, lo:hi] for lo, hi in zip(cuts, cuts[1:])):
             d = v.shape[1]
-            v_pol = u[:, -d:]
+            w, u = np.linalg.eigh(average(v @ v.conj().T))
             if w[-d] < 0.99 or (dim > d and w[-d - 1] > 0.01):
-                ok = False
                 break
-            sub = _restrict(mats, v_pol)
-            # invariance residual of the polished subspace
-            resid = np.max(np.abs(mats @ v_pol - v_pol @ sub))
-            if resid > 1e-8:
-                ok = False
+            v = u[:, -d:]
+            rv = moved(v)
+            sub = v.conj().T @ rv
+            r = rv[gens] - v @ sub[gens]
+            defect = np.sqrt(np.einsum("gij,gij->g", r, r.conj()).real.max(initial=0.0))  # max_s ||.||_F
+            if not (group.max_word_length * defect <= 1e-8 and _character_norm_one(group, sub)):
                 break
-            for basis in _split_invariant_subspaces(sub, rng, depth + 1):
-                bases.append(v_pol @ basis)
-        if ok:
-            return bases
-    raise NotIrreducible("random commutant splitting failed to isolate subspaces")
+            stacks.append(sub)
+        else:
+            return stacks
+    raise NotIrreducible("random commutant splitting failed to isolate irreducible subspaces")
+
+
+def _numeric_dual(group: FiniteGroup, constituents, seed: int) -> DualObject:
+    """The validated dual of constituents(rng), irreducible stacks kept once per character and sorted.
+
+    A draw that fails to split or to validate is drawn again, 8 draws in all.
+    """
+    rng = np.random.default_rng(seed)
+    for attempt in range(8):
+        try:
+            dual = DualObject(group, _sorted_irreps(group, _dedupe_by_character(group, constituents(rng))))
+            validate_dual(dual)
+            return dual
+        except (NotIrreducible, IncompleteDual):
+            if attempt == 7:
+                raise
 
 
 def _dedupe_by_character(group: FiniteGroup, candidates: list[np.ndarray]) -> list[np.ndarray]:
@@ -626,12 +632,9 @@ def _dedupe_by_character(group: FiniteGroup, candidates: list[np.ndarray]) -> li
 def _sorted_irreps(group: FiniteGroup, mats_list: list[np.ndarray]) -> list[UnitaryIrrep]:
     def key(mats):
         chi = np.einsum("gii->g", mats)
-        return (mats.shape[1], tuple(np.round(chi.real, 6)), tuple(np.round(chi.imag, 6)))
+        return (mats.shape[1], np.round(chi.real, 6).tolist(), np.round(chi.imag, 6).tolist())
 
-    out = []
-    for i, mats in enumerate(sorted(mats_list, key=key)):
-        out.append(UnitaryIrrep(f"sigma{i}", mats.shape[1], mats))
-    return out
+    return [UnitaryIrrep(f"sigma{i}", mats.shape[1], mats) for i, mats in enumerate(sorted(mats_list, key=key))]
 
 
 def _regular_average(group: FiniteGroup, m: np.ndarray) -> np.ndarray:
@@ -647,44 +650,17 @@ def _regular_average(group: FiniteGroup, m: np.ndarray) -> np.ndarray:
 def _regular_splitting_dual(group: FiniteGroup, seed: int) -> DualObject:
     """Split the regular representation; each irrep occurs (d times) in it.
 
-    R(g) permutes the delta basis via x -> g x, so V* R(g) V reduces to an
-    index shuffle with perms[g][x] = g^-1 x, and the group average of a
-    matrix is a convolution over the table (``_regular_average``): O(|G|^2)
-    per average, for the commutant element and for each cluster projector.
+    R(g) permutes the delta basis via x -> g x, so R(g) V is the row shuffle
+    V[perms[g]] with perms[g][x] = g^-1 x, and the group average of a matrix
+    is a convolution over the table (``_regular_average``): O(|G|^2) per
+    average, for the commutant element and for each cluster projector.
     """
-    n = group.order
     perms = _regular_perms(group)
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = b + b.conj().T
-        vals, vecs = np.linalg.eigh(_regular_average(group, b))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        clusters, start = [], 0
-        for i in range(1, n + 1):
-            if i == n or vals[i] - vals[i - 1] > 1e-6 * scale:
-                clusters.append(vecs[:, start:i])
-                start = i
-        try:
-            candidates = []
-            for v in clusters:
-                w, u = np.linalg.eigh(_regular_average(group, v @ v.conj().T))
-                d = v.shape[1]
-                if w[-d] < 0.99 or (n > d and w[-d - 1] > 0.01):
-                    raise NotIrreducible("eigenvalue cluster is not an invariant subspace")
-                v_pol = u[:, -d:]
-                # sigma(g) = V* R(g) V with (R(g) V)[i] = V[g^-1 i]
-                sub = v_pol.conj().T @ v_pol[perms]
-                for basis in _split_invariant_subspaces(sub, rng):
-                    w_basis = v_pol @ basis
-                    candidates.append(w_basis.conj().T @ w_basis[perms])
-            kept = _dedupe_by_character(group, candidates)
-            dual = DualObject(group, _sorted_irreps(group, kept))
-            validate_dual(dual)
-            return dual
-        except (NotIrreducible, IncompleteDual):
-            continue
-    raise IncompleteDual(-1, group.order)
+    return _numeric_dual(
+        group,
+        lambda rng: _split(group, lambda m: _regular_average(group, m), lambda v: v[perms], group.order, rng),
+        seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -713,23 +689,24 @@ def irreps_by_induction(group: FiniteGroup, normal_abelian, seed: int = 0) -> Du
     """All irreps via induction from a normal abelian subgroup.
 
     Every irrep restricts to the subgroup nontrivially, so it occurs in some
-    induced character representation; the induced representations are split
-    numerically and deduplicated.
+    induced character representation; one of character norm one is kept as
+    it is, the others are split (``_split``) and deduplicated.
     """
     sub_elems = check_subgroup(group, normal_abelian)
     sub, to_sub = subgroup_as_group(group, sub_elems)
     sub_dual = dual_abelian(sub, seed=seed)
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for char in sub_dual.irreps:
-        chi = char.matrices[:, 0, 0]
-        mats = induced_from_character(group, sub_elems, chi, to_sub)
-        for basis in _split_invariant_subspaces(mats, rng):
-            candidates.append(_restrict(mats, basis))
-    kept = _dedupe_by_character(group, candidates)
-    dual = DualObject(group, _sorted_irreps(group, kept))
-    validate_dual(dual)
-    return dual
+    induced = [induced_from_character(group, sub_elems, c.matrices[:, 0, 0], to_sub) for c in sub_dual.irreps]
+
+    def constituents(rng):
+        out = []
+        for mats in induced:
+            if _character_norm_one(group, mats):
+                out.append(mats)
+            else:
+                out += _split(group, lambda m: _group_average(mats, m), mats.__matmul__, mats.shape[1], rng)
+        return out
+
+    return _numeric_dual(group, constituents, seed)
 
 
 # ---------------------------------------------------------------------------

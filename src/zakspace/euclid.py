@@ -50,10 +50,7 @@ class IsometryElement:
         self.c = np.asarray(self.c, dtype=float)
         if self.c.ndim != 1 or self.q.shape != (self.c.shape[0],) * 2:
             raise DimensionMismatch(f"Q is {self.q.shape}, c has shape {self.c.shape}")
-        # the test _isometry_defects makes on each of a stack, for one element
-        if not (np.isfinite(self.q).all() and np.isfinite(self.c).all()) or (
-            np.abs(self.q @ self.q.T - np.eye(self.c.shape[0])).max() > 1e-12
-        ):
+        if _isometry_defects(self.q, self.c):
             raise DimensionMismatch(NOT_ISOMETRY)
 
     @property
@@ -71,12 +68,10 @@ NOT_ISOMETRY = "Q must be orthogonal to 1e-12, and Q and c finite"
 
 
 def _isometry_defects(q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per stacked (Q, c): True where an entry is not finite or Q is not orthogonal to 1e-12."""
-    finite = np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(c).all(axis=-1)
-    if not finite.all():
-        q = np.where(finite[..., None, None], q, 0.0)  # flagged already; keeps matmul quiet
-    gram = np.abs(q @ np.swapaxes(q, -1, -2) - np.eye(c.shape[-1]))
-    return ~finite | (gram.max(axis=(-2, -1)) > 1e-12)
+    """Per stacked (Q, c) (or for one): True where an entry is not finite or Q is not orthogonal to 1e-12."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Q makes its Gram diagonal inf or NaN
+        gram = np.abs(q @ np.swapaxes(q, -1, -2) - np.eye(c.shape[-1]))
+    return ~np.isfinite(c).all(axis=-1) | ~(gram.max(axis=(-2, -1)) <= 1e-12)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

@@ -200,23 +200,44 @@ def _built(make, what: str, *args, **kwargs):
 # groups and actions
 
 
+MAX_ARRAY_BYTES = 1 << 28  # the largest array one document may make a command allocate; peaks run 3-10 times that
+
+
+def check_size(entries: int, itemsize: int, what: str) -> None:
+    """A ConfigError when an array of this many entries would take more than MAX_ARRAY_BYTES."""
+    if entries * itemsize > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{what} would take {entries * itemsize} bytes, more than {MAX_ARRAY_BYTES}")
+
+
 _CATALOG = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
 
 
-def _named_group(name: str) -> FiniteGroup:
-    """Catalog lookup: cyclic:N, dihedral:N, symmetric:N, product:AxB."""
+def _catalog_entry(name: str) -> tuple:
+    """(order, make) for a catalog name, where make() builds the group: nothing is built here."""
     kind, _, arg = name.partition(":")
     if kind == "product":
         left, sep, right = arg.partition("x")
         if not sep:
             raise ConfigError(f"product name needs AxB, got {name!r}")
-        return direct_product(_named_group(left), _named_group(right))
+        (n1, make1), (n2, make2) = _catalog_entry(left), _catalog_entry(right)
+        return n1 * n2, lambda: direct_product(make1(), make2())
     if kind not in _CATALOG:
         raise ConfigError(f"unknown group name {name!r}")
     try:
-        return _CATALOG[kind](int(arg))
+        n = int(arg)
     except ValueError as err:
         raise ConfigError(f"bad group name {name!r}: {err}") from err
+    if n < 1:
+        raise ConfigError(f"bad group name {name!r}: the parameter must be >= 1")
+    order = {"cyclic": n, "dihedral": 2 * n, "symmetric": math.factorial(min(n, 7))}[kind]  # S_n needs n <= 6
+    return order, lambda: _built(_CATALOG[kind], f"group name {name!r}", n)
+
+
+def _named_group(name: str) -> FiniteGroup:
+    """Catalog lookup: cyclic:N, dihedral:N, symmetric:N, product:AxB; a table over MAX_ARRAY_BYTES is never built."""
+    order, make = _catalog_entry(name)
+    check_size(order * order, 8, f"the table of {name!r:.40}")
+    return make()
 
 
 def _group(table, order, name) -> FiniteGroup:
@@ -513,7 +534,9 @@ def band_model_from_dict(doc) -> tuple:
     """The arguments (t, M, N, V) of bloch.band_structure: hopping, cell size, period count, the M onsite energies."""
     t, m, n, v = _fields(doc, "band model", ("t", "M", "N", "V"))
     m = _integer(m, "M", 1)
-    return _finite(t, "t"), m, _integer(n, "N", 1), _array(v, "V", (m,))
+    model = _finite(t, "t"), m, _integer(n, "N", 1), _array(v, "V", (m,))
+    check_size(model[2] * m * m, 16, "the N Bloch blocks of M x M")
+    return model
 
 
 def isometry_spec_from_dict(doc) -> IsometryGroupSpec:

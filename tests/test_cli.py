@@ -5,11 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from zakspace import serialize
 from zakspace.cli import main
 from zakspace.duals import irreps
 from zakspace.lattice import classic_zak
 from zakspace.serialize import (
     GRID_MAGIC,
+    MAX_ARRAY_BYTES,
     ZAK_MAGIC,
     _pack,
     action_to_dict,
@@ -19,6 +21,7 @@ from zakspace.serialize import (
     zak_to_bytes,
     zak_to_dict,
 )
+from zakspace.errors import ConfigError
 from zakspace.fixtures import BUNDLED_ACTIONS, d3_triangle, random_complex, z2_fixed_point, z4_rotation
 from zakspace.zak import zak
 
@@ -416,12 +419,44 @@ def test_bad_tol_exit_2(tmp_path, capsys, tol):
     assert json.loads(line)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("name", ["bogus:3", "cyclic:x", "cyclic:0", "product:cyclic:2"])
+@pytest.mark.parametrize("name", ["bogus:3", "cyclic:x", "cyclic:0", "product:cyclic:2", "symmetric:0"])
 def test_bad_group_name_exit_2(tmp_path, capsys, name):
     cfg = {"group": name, "subgroup": [0]}
     assert main(["poisson", "check", write(tmp_path, "p.json", cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ConfigError"
+
+
+OVERSIZED = {
+    # every size fails the byte budget before anything of that size is allocated
+    "cyclic table": ("poisson", "check", {"group": "cyclic:100000000", "subgroup": [0]}, "the table"),
+    "product table": ("poisson", "check", {"group": "product:cyclic:100000000xcyclic:2", "subgroup": [0]}, "the table"),
+    "bands run blocks": ("bands", "run", {"t": 1.0, "M": 2, "N": 10**15, "V": [0.0, 1.0]}, "Bloch blocks"),
+    "bands check blocks": ("bands", "check", {"t": 1.0, "M": 2, "N": 10**15, "V": [0.0, 1.0]}, "Bloch blocks"),
+    # blocks of 0.16 GB pass, the dense ring of 1.6 PB does not
+    "bands check ring": ("bands", "check", {"t": 1.0, "M": 1, "N": 10_000_000, "V": [0.0]}, "dense ring"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_document_exit_2(tmp_path, capsys, case):
+    cmd, sub, doc, what = OVERSIZED[case]
+    assert main([cmd, sub, write(tmp_path, "big.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigError" and what in err["detail"]
+    assert err["detail"].endswith(f"more than {MAX_ARRAY_BYTES}")
+
+
+def test_product_order_is_checked_before_a_factor_is_built(monkeypatch):
+    def never(n):
+        raise AssertionError(f"a factor of order {n} was built")
+
+    monkeypatch.setattr(serialize, "_CATALOG", dict.fromkeys(serialize._CATALOG, never))
+    with pytest.raises(ConfigError, match="more than"):
+        serialize._named_group("product:cyclic:5000xdihedral:2500")  # each factor's table alone is under the budget
 
 
 @pytest.mark.parametrize(

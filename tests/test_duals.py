@@ -9,9 +9,14 @@ from zakspace.duals import (
     DualObject,
     UnitaryIrrep,
     _coxeter_chain,
+    _group_average,
     _pair_products,
+    _regular_average,
+    _regular_perms,
     _regular_splitting_dual,
+    _split,
     dual_abelian,
+    induced_from_character,
     irreps,
     irreps_by_induction,
     validate_dual,
@@ -25,6 +30,7 @@ from zakspace.groups import (
     generated_subgroup,
     make_group,
     permutation_table,
+    subgroup_as_group,
     symmetric_group,
 )
 
@@ -313,3 +319,67 @@ def test_equivalent_pairs_are_named_in_row_major_order(split_duals):
     # equivalent pairs at positions (0, 3) and (1, 2): the pair (0, 3) comes first in row-major order
     order = [s[2], s[4], copy_of(s[4], s[5]), copy_of(s[2], s[3]), s[0], s[1], s[6]]
     _rejects_like_loop(DualObject(dual.group, order), NotIrreducible, f"{s[2].label} and {s[3].label} are equivalent")
+
+
+# ---------------------------------------------------------------------------
+# the one splitter of both numeric routes
+
+
+class ZeroFirstDraw:
+    """A generator whose first draw (the two normal arrays of one matrix) is all zeros, then seeded normals."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def normal(self, size):
+        self.calls += 1
+        return np.zeros(size) if self.calls <= 2 else self.rng.normal(size=size)
+
+
+def _character_set(stacks):
+    return {tuple(np.round(np.einsum("gii->g", m), 6)) for m in stacks}
+
+
+def _regular_split_inputs(group):
+    perms = _regular_perms(group)
+    return (lambda m: _regular_average(group, m)), (lambda v: v[perms])
+
+
+def test_split_redraws_a_zero_draw_of_an_induced_stack():
+    # ind from the trivial character of C3 up to S3 is trivial + sign, of dimension 2
+    g = symmetric_group(3)
+    c3 = generated_subgroup(g, [next(x for x in g.elements() if g.element_order(x) == 3)])
+    sub, to_sub = subgroup_as_group(g, c3)
+    mats = induced_from_character(g, c3, np.ones(sub.order, dtype=complex), to_sub)
+    rng = ZeroFirstDraw(0)
+    stacks = _split(g, lambda m: _group_average(mats, m), mats.__matmul__, 2, rng)
+    assert rng.calls > 2  # the zero draw gives one cluster of character norm 2, so it drew again
+    assert [m.shape for m in stacks] == [(6, 1, 1)] * 2
+    catalog = [s.matrices for s in irreps(g).irreps if s.dim == 1]
+    assert _character_set(stacks) == _character_set(catalog)
+
+
+def test_split_redraws_a_zero_draw_of_the_regular_representation():
+    g = relabelled(quaternion_group(), 3)
+    rng = ZeroFirstDraw(0)
+    stacks = _split(g, *_regular_split_inputs(g), g.order, rng)
+    assert rng.calls > 2
+    assert sorted(m.shape[1] for m in stacks) == [1, 1, 1, 1, 2, 2]  # the 2-dimensional irrep occurs twice
+    assert _character_set(stacks) == _character_set([s.matrices for s in irreps(g).irreps])
+
+
+def test_split_rejects_a_subspace_not_invariant_on_a_generator():
+    g = relabelled(quaternion_group(), 3)
+    average, moved = _regular_split_inputs(g)
+    s = g.generators[0]
+
+    def moved_off(v):
+        # rho(s) V off by 1e-6 outside span V: V* rho(s) V, so every character, stays as it was
+        out = moved(v)
+        ones = np.ones_like(v)
+        out[s] += 1e-6 * (ones - v @ (v.conj().T @ ones))
+        return out
+
+    assert len(_split(g, average, moved, g.order, np.random.default_rng(0))) == 6
+    with pytest.raises(NotIrreducible, match="failed to isolate"):
+        _split(g, average, moved_off, g.order, np.random.default_rng(0))

@@ -16,7 +16,12 @@ projectors come from the core's `subgroup_projectors` (fourier.py).
 The 1-d tight-binding chain gets a dedicated fast path: the Bloch block
 at wave index j is the M x M cell Hamiltonian with hopping phases
 exp(-+ 2 pi i j / N) on the wrap-around bonds, and the union of all block
-spectra is the spectrum of the full N*M ring.
+spectra is the spectrum of the full N*M ring.  t and the onsite energies
+are real, so the block at -j is the complex conjugate of the block at j
+and has the same eigenvalues (time reversal): only the blocks j = 0 ..
+N // 2 are solved, and each row N - j of the bands is a bitwise copy of
+row j.  The dense ring (`ring_hamiltonian`) and the -j blocks solved
+directly (`suite.check_bands_even`) check this independently.
 """
 
 from __future__ import annotations
@@ -198,7 +203,11 @@ def zak_conjugation_residual(op: InvariantOperator, dual: DualObject, f) -> floa
 
 @dataclass
 class BandStructure:
-    """Sorted eigenvalues per wave-index sample of a periodic chain."""
+    """Sorted eigenvalues per wave-index sample of a periodic chain.
+
+    Rows 0 .. N // 2 are solved; each row N - j above them is a bitwise
+    copy of row j.
+    """
 
     hopping: float
     cell_size: int
@@ -230,9 +239,9 @@ def bloch_block(t: float, m: int, theta: float, onsite) -> np.ndarray:
 
 
 def ring_hamiltonian(t: float, m: int, n: int, onsite) -> np.ndarray:
-    """Dense nearest-neighbor ring on N*M sites with M-periodic onsite terms."""
+    """Dense nearest-neighbor ring on N*M sites with M-periodic onsite terms, as a real symmetric matrix."""
     size = m * n
-    h = np.zeros((size, size), dtype=complex)
+    h = np.zeros((size, size))
     onsite = np.asarray(onsite, dtype=float)
     for i in range(size):
         h[i, i] += onsite[i % m]
@@ -254,8 +263,12 @@ def ring_translation_action(m: int, n: int) -> GroupAction:
 def band_structure(t: float, m: int, n: int, onsite, jobs: int = 1) -> BandStructure:
     """Bands of the (t, V) chain: one M x M Bloch block per wave index.
 
-    All N blocks are built as one (N, M, M) array and solved by a single
-    batched eigvalsh.  `jobs` is ignored (see the zakspace.cli docstring).
+    The blocks j = 0 .. N // 2 are built as one (N // 2 + 1, M, M) array
+    and solved by a single batched eigvalsh, which solves each matrix on
+    its own; each row N - j is then a bitwise copy of row j, since the
+    block at N - j is the complex conjugate of the block at j.  k_values
+    holds all N wave numbers.  `jobs` is ignored (see the zakspace.cli
+    docstring).
     A non-finite t or onsite energy is a ShapeMismatch, like a wrong shape.
     """
     onsite = np.asarray(onsite, dtype=float)
@@ -265,9 +278,9 @@ def band_structure(t: float, m: int, n: int, onsite, jobs: int = 1) -> BandStruc
         raise ShapeMismatch("cell size and period count must be positive")
     if not (np.isfinite(t) and np.isfinite(onsite).all()):
         raise ShapeMismatch("hopping t and onsite energies must be finite")
-    k_values = 2.0 * np.pi * np.arange(n) / (n * m)
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    bands = np.linalg.eigvalsh(bloch_blocks(t, m, thetas, onsite))
+    solved = np.linalg.eigvalsh(bloch_blocks(t, m, 2.0 * np.pi * np.arange(n // 2 + 1) / n, onsite))
+    bands = np.concatenate([solved, solved[1 : n - n // 2][::-1]])  # row N - j is row j
+    k_values = 2.0 * np.pi * np.arange(n) / (n * m)  # after the solve, so the two peaks do not add
     return BandStructure(t, m, n, onsite, k_values, bands)
 
 

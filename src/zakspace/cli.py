@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -72,16 +73,21 @@ def _load(path: str):
 
 
 def _emit(payload, out: str | None, binary: bool = False) -> None:
+    """Write bytes (binary), a JSON object, a text ended in one newline, or an iterable of text pieces in order."""
     if binary:
         if out is None:
             raise ConfigError("binary output needs --out")
         Path(out).write_bytes(payload)
         return
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2)
+    if isinstance(payload, str):
+        payload = (payload, "" if payload.endswith("\n") else "\n")
     if out is None:
-        sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
+        sys.stdout.writelines(payload)
     else:
-        Path(out).write_text(text + ("" if text.endswith("\n") else "\n"))
+        with open(out, "w") as fh:
+            fh.writelines(payload)
 
 
 def _verdict(reports: list[VerificationReport], args) -> int:
@@ -182,18 +188,46 @@ def _cmd_poisson_check(args) -> int:
 CSV_BLOCK_ROWS = 4096
 
 
+def _bands_csv(bs: bloch.BandStructure):
+    """The CSV lines "k_index,k_value,band_index,energy" of bs, as text pieces in row order.
+
+    Row N - j of bs.bands is a copy of row j (bloch.band_structure), so
+    only the rows j = 0 .. N // 2 are formatted, in blocks of about
+    CSV_BLOCK_ROWS lines.  Each energy is formatted once, into lines
+    "<band>,<energy>" that start with a tab where the "k_index,k_value,"
+    prefix goes; these lines of row j are also those of row N - j.  The
+    mirrored rows' lines are held, without their prefixes, until the rows
+    0 .. N // 2 are written, then written in reverse block order.  Each
+    prefix is formatted once per k.
+    """
+    n, m = bs.periods, bs.cell_size
+    front, back = n // 2 + 1, n - n // 2  # rows j = 1 .. back - 1 are mirrored to N - j
+    row = "".join(f"\t{b},%.12g\n" for b in range(m))
+    step = max(1, CSV_BLOCK_ROWS // m)
+    held = []  # per block: (first N - j, the rows' lines joined by \v, N - j ascending)
+    yield "k_index,k_value,band_index,energy\n"
+    for lo in range(0, front, step):
+        hi = min(lo + step, front)
+        rows = ("\v".join([row] * (hi - lo)) % tuple(bs.bands[lo:hi].ravel().tolist())).split("\v")
+        yield _with_prefixes(rows, bs.k_values, range(lo, hi))
+        first, last = max(lo, 1), min(hi, back)  # mirrored rows j = first .. last - 1
+        if first < last:
+            held.append((n - last + 1, "\v".join(reversed(rows[first - lo : last - lo]))))
+    for k0, text in reversed(held):
+        rows = text.split("\v")
+        yield _with_prefixes(rows, bs.k_values, range(k0, k0 + len(rows)))
+
+
+def _with_prefixes(rows, k_values, ks) -> str:
+    """The rows' text, with "k_index,k_value," of ks[i] in place of each tab of rows[i]."""
+    values = k_values[ks].tolist()
+    prefixes = ("%d,%.12g,\v" * len(values) % tuple(itertools.chain.from_iterable(zip(ks, values)))).split("\v")
+    return "".join([r.replace("\t", p) for r, p in zip(rows, prefixes)])
+
+
 def _cmd_bands_run(args) -> int:
     bs = bloch.band_structure(*serialize.band_model_from_dict(_load(args.config)))
-    n, m = bs.periods, bs.cell_size
-    rows = np.column_stack([
-        np.repeat(np.arange(n), m), np.repeat(bs.k_values, m), np.tile(np.arange(m), n), bs.bands.ravel(),
-    ])
-    lines = ["k_index,k_value,band_index,energy"]
-    for part in np.split(rows, range(CSV_BLOCK_ROWS, len(rows), CSV_BLOCK_ROWS)):
-        # one % format per block of rows: the argument tuple stays small
-        lines.append("\n".join(["%d,%.12g,%d,%.12g"] * len(part)) % tuple(part.ravel().tolist()))
-    # the trailing "" ends the text in a newline, so _emit writes it without another copy
-    _emit("\n".join(lines + [""]), args.out)
+    _emit(_bands_csv(bs), args.out)
     return 0
 
 

@@ -406,8 +406,21 @@ class Certificate:
 
 
 def _generators_commute(spec: IsometryGroupSpec) -> bool:
-    gens, tol = spec.generators, spec.truncation.tol
-    return all(distance(compose(a, b), compose(b, a)) <= tol for a in gens for b in gens)
+    """Whether distance(ab, ba) <= tol for every pair of generators.
+
+    The pairs are composed on the generator stacks: row (a, b) of `ab` is
+    the flat (Q_a Q_b, Q_a c_b + c_a), and row (b, a) is ba.  A product
+    that overflows is not within tol.
+    """
+    d = spec.dim
+    q = np.array([g.q for g in spec.generators]).reshape(-1, d, d)
+    c = np.array([g.c for g in spec.generators]).reshape(-1, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = np.concatenate([
+            (q[:, None] @ q[None, :]).reshape(len(q), len(q), d * d),
+            (q[:, None] @ c[None, :, :, None])[..., 0] + c[:, None],
+        ], axis=-1)
+        return bool((_norms(ab - ab.swapaxes(0, 1)) <= spec.truncation.tol).all())
 
 
 def _common_axis(q: np.ndarray, tol: float = 1e-8) -> bool:

@@ -10,8 +10,9 @@ per-irrep and per-point group Fourier sums (fourier, zak, reciprocal and
 bloch), the group-Fourier inverse as one (irreps, points) array, the defining sum and the unfolding loop of the lattice transform, the dense-matrix
 invariance check, the group average over shuffled copies of a matrix, the
 pairwise homomorphism and character checks of a dual, the per-element
-Kronecker products of the product catalog and the pair-by-pair composition
-of a permutation table.  The tests
+Kronecker products of the product catalog, the pair-by-pair composition
+of a permutation table, the generator commutation test on composed
+elements and the band CSV formatted from every row.  The tests
 require the library to reproduce them exactly (bands, Zak blocks and
 inverses to 1e-12; orbits and the Weil structure bitwise) and to raise the
 same exception at the same first item.
@@ -49,6 +50,7 @@ from zakspace.euclid import (
     _translation_basis,
     act,
     compose,
+    distance,
     identity_isometry,
     inverse,
     translation_subgroup,
@@ -78,6 +80,25 @@ def bands_loop(t: float, m: int, n: int, onsite) -> np.ndarray:
     for j in range(n):
         bands[j] = np.linalg.eigvalsh(bloch_block_loop(t, m, 2.0 * np.pi * j / n, onsite))
     return bands
+
+
+def bands_full_zone(t: float, m: int, n: int, onsite) -> np.ndarray:
+    """All N Bloch blocks, the -k half too, solved by one batched eigvalsh."""
+    from zakspace.bloch import bloch_blocks
+
+    return np.linalg.eigvalsh(bloch_blocks(t, m, 2.0 * np.pi * np.arange(n) / n, onsite))
+
+
+def bands_csv_loop(bs, block_rows: int = 4096) -> str:
+    """The band CSV formatted row by row from all N rows: one % format per block of lines."""
+    n, m = bs.periods, bs.cell_size
+    rows = np.column_stack([
+        np.repeat(np.arange(n), m), np.repeat(bs.k_values, m), np.tile(np.arange(m), n), bs.bands.ravel(),
+    ])
+    lines = ["k_index,k_value,band_index,energy"]
+    for part in np.split(rows, range(block_rows, len(rows), block_rows)):
+        lines.append("\n".join(["%d,%.12g,%d,%.12g"] * len(part)) % tuple(part.ravel().tolist()))
+    return "\n".join(lines + [""])
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +148,12 @@ def accept_loop(rows: np.ndarray, cands: np.ndarray, tol: float) -> list:
             index = np.vstack([index, x[None, :]])
             kept.append(k)
     return kept
+
+
+def generators_commute_loop(spec) -> bool:
+    """distance(ab, ba) <= tol over every pair of generators, composed as elements."""
+    gens, tol = spec.generators, spec.truncation.tol
+    return all(distance(compose(a, b), compose(b, a)) <= tol for a in gens for b in gens)
 
 
 def generate_sequential(spec) -> GeneratedGroup:

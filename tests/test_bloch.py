@@ -136,7 +136,47 @@ def test_dimer_gap_and_union():
 def test_bands_even_in_k():
     bs = band_structure(t=1.0, m=3, n=8, onsite=[0.0, 0.4, -0.1])
     for j in range(1, 8):
-        assert np.max(np.abs(bs.bands[j] - bs.bands[-j])) < 1e-10
+        assert np.array_equal(bs.bands[j], bs.bands[-j])
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 3), (3, 8), (4, 9), (2, 64), (5, 101)])
+def test_half_zone_rows_are_the_full_zone_solve_and_mirror_bitwise(m, n):
+    from oracles import bands_full_zone
+
+    rng = np.random.default_rng(7 * m + n)
+    t, onsite = float(rng.normal()), rng.normal(size=m)
+    bs = band_structure(t, m, n, onsite)
+    assert bs.bands.shape == (n, m) and bs.k_values.shape == (n,)
+    assert np.array_equal(bs.bands[: n // 2 + 1], bands_full_zone(t, m, n, onsite)[: n // 2 + 1])
+    assert np.array_equal(bs.bands[1:], bs.bands[:0:-1])  # row N - j is row j
+    assert np.array_equal(bs.k_values, 2.0 * np.pi * np.arange(n) / (n * m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 20000])
+def test_band_structure_solves_blocks_zero_to_half_n(n, monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        solved.append(a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    band_structure(1.0, 2, n, [0.3, -0.3])
+    assert solved == [n // 2 + 1]
+
+
+def test_bands_even_check_solves_the_minus_k_blocks_itself():
+    # rows j and N - j shifted together read as even to a row-against-row comparison
+    from zakspace.suite import check_bands_even
+
+    bs = band_structure(t=1.0, m=3, n=9, onsite=[0.0, 0.4, -0.1])
+    assert check_bands_even("even", bs).passed
+    bs.bands[2] += 1e-8
+    bs.bands[7] += 1e-8
+    assert np.array_equal(bs.bands[1:], bs.bands[:0:-1])
+    report = check_bands_even("even", bs)
+    assert not report.passed and report.residual == pytest.approx(1e-8, rel=1e-3)
 
 
 def test_ring_action_invariance():

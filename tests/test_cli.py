@@ -277,11 +277,69 @@ def test_bands_run_csv_shape(tmp_path, capsys):
     ({"t": 0.9, "M": 3, "N": 50, "V": [0.3, -1.2, 0.0]}, "a09184bc613046f675d7fdc1dd5862e2101332e2bd3459041447e4637b212bd2"),
     ({"t": -1.5, "M": 1, "N": 7, "V": [-0.0]}, "8716fa669161d84e1a116d6c26af4bf7647d9711bfe95530f83190d4d177a8a0"),
     ({"t": 1e-300, "M": 2, "N": 1, "V": [1e22, -3.5e-7]}, "868959c92823743ddebfe5b14658f5cbc4fabbe59976af0c0e6387e57b449d7c"),
-    ({"t": 0.37, "M": 3, "N": 2000, "V": [1.0, -0.25, 2.5]}, "7d7e767e76f7c21733474d8c008a8180c77cb10ab54524bd040958afd0f81631"),
+    ({"t": 0.37, "M": 3, "N": 2000, "V": [1.0, -0.25, 2.5]}, "a9aad26cddedc3e7280ceac152a4774c5502d5acdc17de3d67fbe01e0ee47f05"),
 ])
 def test_bands_run_csv_bytes_are_pinned(tmp_path, capsys, model, sha):
     assert main(["bands", "run", write(tmp_path, "m.json", model)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+PINNED_BAND_MODELS = [
+    {"t": 0.9, "M": 3, "N": 50, "V": [0.3, -1.2, 0.0]},
+    {"t": -1.5, "M": 1, "N": 7, "V": [-0.0]},
+    {"t": 1e-300, "M": 2, "N": 1, "V": [1e22, -3.5e-7]},
+    {"t": 0.37, "M": 3, "N": 2000, "V": [1.0, -0.25, 2.5]},
+]
+
+
+# N in {1, 2, 3}, M = 1, and rows 0 .. N // 2 just over one block of 4096 lines
+@pytest.mark.parametrize("model", PINNED_BAND_MODELS + [
+    {"t": 0.8, "M": 2, "N": n, "V": [0.1, -0.6]} for n in (1, 2, 3)
+] + [
+    {"t": 1.1, "M": 1, "N": 8194, "V": [0.25]},
+    {"t": -0.6, "M": 3, "N": 2731, "V": [0.0, 1.5, -0.5]},
+    {"t": 0.7, "M": 4, "N": 2050, "V": [0.4, -0.4, 0.2, 0.0]},
+])
+def test_bands_run_csv_is_the_row_loops(tmp_path, capsys, model):
+    from oracles import bands_csv_loop
+    from zakspace.bloch import band_structure
+
+    assert main(["bands", "run", write(tmp_path, "m.json", model)]) == 0
+    bs = band_structure(model["t"], model["M"], model["N"], model["V"])
+    assert capsys.readouterr().out == bands_csv_loop(bs)
+
+
+def test_bands_run_peak_stays_below_the_csv(tmp_path):
+    # the mirrored rows are held as text without their prefixes; nothing holds the whole CSV
+    import tracemalloc
+
+    out = tmp_path / "bands.csv"
+    doc = write(tmp_path, "m.json", {"t": 1.0, "M": 1, "N": 200000, "V": [0.5]})
+    tracemalloc.start()
+    try:
+        assert main(["bands", "run", doc, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+def test_bands_check_fails_a_planted_even_defect(tmp_path, capsys, monkeypatch):
+    # rows j and N - j shifted together: equal to each other, not to the blocks at -k
+    from zakspace import bloch
+
+    solve = bloch.band_structure
+
+    def planted(*args):
+        bs = solve(*args)
+        bs.bands[1] += 1e-8
+        bs.bands[-1] += 1e-8
+        return bs
+
+    monkeypatch.setattr(bloch, "band_structure", planted)
+    assert main(["bands", "check", write(tmp_path, "m.json", dimer_model())]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["bands_even_in_k"]["pass"]
 
 
 def test_bands_check(tmp_path, capsys):

@@ -6,6 +6,7 @@ from zakspace.errors import DimensionMismatch, NotClosable, TruncationExceeded
 from zakspace.euclid import (
     IsometryElement,
     IsometryGroupSpec,
+    _generators_commute,
     _isometry_defects,
     Truncation,
     act,
@@ -543,6 +544,32 @@ def test_certificate_and_fold_build_no_element_per_generated_element(constructio
     constructions[0] = 0
     model = to_finite_action(spec, [[0.21, 0.33]], periods=[2, 2])
     assert constructions[0] == len(model.elements) == model.group.order == 16
+
+
+@pytest.mark.parametrize("name", sorted(oracle_specs()))
+def test_generators_commute_decides_as_the_element_loop(name):
+    from oracles import generators_commute_loop
+
+    spec = oracle_specs()[name]
+    assert _generators_commute(spec) == generators_commute_loop(spec)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 0.99, 1.01, 2.0])
+def test_generators_commute_at_the_tolerance_decides_as_the_element_loop(factor):
+    # ||R_eps c - c|| = 2 sin(eps / 2) for the unit c: the pair is just inside or outside tol
+    from oracles import generators_commute_loop
+
+    tol = Truncation().tol
+    eps = 2.0 * np.arcsin(factor * tol / 2.0)
+    spec = IsometryGroupSpec(2, [IsometryElement(rotation_2d(eps), [0.0, 0.0]), translation([1.0, 0.0])])
+    assert _generators_commute(spec) == generators_commute_loop(spec) == (factor < 1.0)
+
+
+def test_certificate_builds_no_element(constructions):
+    for spec in (pm_spec(), c6_spec(), oracle_specs()["helical_screw"]):
+        constructions[0] = 0
+        type_one_certificate(spec)
+        assert constructions[0] == 0
 
 
 def test_generated_group_stacks_are_read_only_and_match_elements():
